@@ -17,11 +17,9 @@ from .errors import (
     NotANError,
     NotHermitianError,
     NotInjectiveError,
-    NotPartialIsometryError,
     NotPSDError,
     ParseError,
     ShapeMismatchError,
-    SingularError,
     WrongKindError,
 )
 from .sequences import DecaySequence, MATERIALIZE_DEPTH, merge_sequences

@@ -169,6 +169,14 @@ def _triple_in(args) -> PositiveTriple:
     return sz.parse_triple(_load(args))
 
 
+def _positive_triple_in(args) -> PositiveTriple:
+    """Triple; a bare model is decomposed as positive (WRONG_KIND otherwise)."""
+    data = _load(args)
+    if isinstance(data, dict) and "kind" in data:
+        return decompose_positive(sz.parse_model(data))
+    return sz.parse_triple(data)
+
+
 def _decomposition_in(args):
     """Triple or structure; a bare model is decomposed by kind first."""
     data = _load(args)
@@ -235,12 +243,7 @@ def _cmd_shift(args):
 
 
 def _cmd_fredholm(args):
-    data = _load(args)
-    if isinstance(data, dict) and "kind" in data:
-        triple = decompose_positive(sz.parse_model(data))
-    else:
-        triple = sz.parse_triple(data)
-    return sz.fredholm_payload(fredholm_report(triple))
+    return sz.fredholm_payload(fredholm_report(_positive_triple_in(args)))
 
 
 def _cmd_realize(args):
@@ -287,12 +290,7 @@ def _cmd_blocks(args):
 
 
 def _cmd_invert_matrix(args):
-    data = _load(args)
-    if isinstance(data, dict) and "kind" in data:
-        triple = decompose_positive(sz.parse_model(data))
-    else:
-        triple = sz.parse_triple(data)
-    ro = realize_matrix(triple, args.dim, args.seed)
+    ro = realize_matrix(_positive_triple_in(args), args.dim, args.seed)
     inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, 1e-10))
     residual = _fro(ro.matrix @ inv - np.eye(args.dim)) / math.sqrt(args.dim)
     return {

@@ -67,17 +67,9 @@ class NotPSDError(AnopError):
     code = "NOT_PSD"
 
 
-class SingularError(AnopError):
-    code = "SINGULAR"
-
-
 class DimTooSmallError(AnopError):
     code = "DIM_TOO_SMALL"
 
 
 class DimTooLargeError(AnopError):
     code = "DIM_TOO_LARGE"
-
-
-class NotPartialIsometryError(AnopError):
-    code = "NOT_PARTIAL_ISOMETRY"

@@ -165,6 +165,38 @@ def test_blocks_and_matrix_inverse_round_trip(monkeypatch):
     assert json.loads(out)["result"]["residual"] <= 1e-10
 
 
+def test_fredholm_reads_model_or_triple(monkeypatch):
+    src = str(SPECS / "uniqueness_full.json")
+    code, direct, _ = run_cli(["fredholm", src])
+    assert code == 0
+    code, triple_doc, _ = run_cli(["decompose", src])
+    assert code == 0
+    code, piped, _ = run_cli(["fredholm", "-"], stdin_text=triple_doc,
+                             monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(piped)["result"] == json.loads(direct)["result"]
+
+    code, out, _ = run_cli(["fredholm", str(SPECS / "selfadjoint_signed.json")])
+    assert code == 2
+    env = json.loads(out)
+    assert env["diagnostics"][0]["code"] == "WRONG_KIND"
+    assert env["result"] is None
+
+
+def test_invert_matrix_reads_model_or_triple(monkeypatch):
+    src = str(SPECS / "uniqueness_full.json")
+    argv = ["--dim", "12", "--seed", "5"]
+    code, direct, _ = run_cli(["invert-matrix", src] + argv)
+    assert code == 0
+    code, triple_doc, _ = run_cli(["decompose", src])
+    assert code == 0
+    code, piped, _ = run_cli(["invert-matrix", "-"] + argv,
+                             stdin_text=triple_doc, monkeypatch=monkeypatch)
+    assert code == 0
+    assert (json.loads(piped)["result"]["residual"]
+            == json.loads(direct)["result"]["residual"])
+
+
 def run_module(argv, stdin_text=None):
     """Run ``python -m anop`` as a child process on the same ``anop``
     package as this process, whether or not it is installed."""

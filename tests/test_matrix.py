@@ -64,9 +64,21 @@ def random_hermitian(n, seed):
 # eigensolver
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24])
-def test_eigen_matches_lapack(n):
-    a = random_hermitian(n, seed=n)
+def degenerate_hermitian(n, seed):
+    """A repeated-eigenvalue spectrum, as realizations produce, conjugated
+    by a seeded unitary; ``n`` must be 9."""
+    u = seeded_unitary(n, seed)
+    return (u * np.array([1.0, 1.0, 1.0, 3.0, 3.0, -2.0, -2.0, 0.0, 0.0])) @ u.conj().T
+
+
+EIGEN_SIZES = [1, 2, 3, 5, 8, 13, 24, 31, 64]
+
+
+@pytest.mark.parametrize(
+    "n,build", [(n, random_hermitian) for n in EIGEN_SIZES] + [(9, degenerate_hermitian)],
+    ids=[str(n) for n in EIGEN_SIZES] + ["degenerate-9"])
+def test_eigen_matches_lapack(n, build):
+    a = build(n, seed=n)
     eig = hermitian_eigen(a)
     ref = np.linalg.eigvalsh(a)
     scale = max(np.max(np.abs(ref)), 1.0)
@@ -80,6 +92,7 @@ def test_eigen_matches_lapack(n):
 def test_eigen_values_sorted_ascending():
     eig = hermitian_eigen(np.diag([3.0, -1.0, 2.0]))
     assert list(eig.values) == sorted(eig.values)
+    assert eig.sweeps == 0
 
 
 def test_eigen_rejects_non_hermitian():
