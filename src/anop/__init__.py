@@ -6,6 +6,8 @@ decompositions with their square, square-root and inverse transforms, and
 verify everything numerically on finite matrix realizations.
 """
 
+import types as _types
+
 from .errors import (
     AlphaZeroError,
     AnopError,
@@ -17,7 +19,6 @@ from .errors import (
     NotANError,
     NotHermitianError,
     NotInjectiveError,
-    NotPSDError,
     ParseError,
     ShapeMismatchError,
     WrongKindError,
@@ -77,9 +78,7 @@ from .matrix import (
     converse_witness,
     hermitian_eigen,
     inverse_via_blocks,
-    normal_eigen,
     polar_decompose,
-    positive_sqrt,
     realize_matrix,
     seeded_unitary,
     verify_structure,
@@ -101,4 +100,6 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public names only: the submodules bound by the imports above stay out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -9,8 +9,8 @@ JSON report line::
 Reports from one command can be piped into the next; the loader unwraps the
 envelope automatically.  Exit codes: 0 success, 1 unreadable or structurally
 invalid input, 2 domain failure (diagnostics carry the code), 64 usage.
-The ANOP_TOL environment variable overrides numeric tolerances package-wide;
-a --tol flag beats the environment.
+The ANOP_TOL environment variable overrides the default tolerance of these
+commands (library calls are unaffected); a --tol flag beats the environment.
 """
 
 from __future__ import annotations

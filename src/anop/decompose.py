@@ -135,9 +135,6 @@ class PositiveTriple:
     def k_cluster(self) -> Cluster | None:
         return self.k_entries.clusters[0] if self.k_entries.clusters else None
 
-    def f_norm(self) -> float:
-        return self.f_entries[-1].value.real if self.f_entries else 0.0
-
     def is_injective(self) -> bool:
         return self.kernel_multiplicity() == 0
 
@@ -152,6 +149,23 @@ class PositiveTriple:
 
     def is_finite_dimensional(self) -> bool:
         return not self.k_entries.clusters and self.identity_multiplicity < INF
+
+    def as_structure(self) -> StructuredDecomposition:
+        """The same operator as a structure with every phase +1 (V = I).
+
+        Compact blocks run descending and finite-rank blocks ascending, as
+        the triple lists them; the cluster accumulates at alpha and the
+        identity block keeps phase +1 even when alpha is 0.
+        """
+        one = 1 + 0j
+        blocks = [Block(one, "k", p.value.real, p.mult)
+                  for p in sorted(self.k_entries.points, key=lambda p: -p.value.real)]
+        blocks += [Block(one, "f", e.value.real, e.mult) for e in self.f_entries]
+        if self.identity_multiplicity:
+            blocks.append(Block(one, "identity", 0.0, self.identity_multiplicity))
+        clusters = tuple(ClusterBlock(complex(self.alpha, 0.0), ABOVE, cl.deltas)
+                         for cl in self.k_entries.clusters)
+        return StructuredDecomposition(self.alpha, tuple(blocks), clusters, 0)
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,6 @@ class NoConvergenceError(AnopError):
     code = "NO_CONVERGENCE"
 
 
-class NotPSDError(AnopError):
-    code = "NOT_PSD"
-
-
 class DimTooSmallError(AnopError):
     code = "DIM_TOO_SMALL"
 

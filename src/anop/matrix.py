@@ -29,7 +29,6 @@ from .errors import (
     NoConvergenceError,
     NotHermitianError,
     NotInjectiveError,
-    NotPSDError,
     ShapeMismatchError,
 )
 from .model import ABOVE, INF, MERGE_TOL
@@ -230,16 +229,6 @@ def hermitian_eigen(a, tol: float = EIGEN_TOL,
     return EigenDecomposition(values[order], basis[:, order], int(sweeps))
 
 
-def positive_sqrt(a, tol: float = 1e-10) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix."""
-    eig = hermitian_eigen(a)
-    scale = max(float(np.max(np.abs(eig.values))), 1.0) if eig.values.size else 1.0
-    if eig.values.size and float(eig.values[0]) < -tol * scale:
-        raise NotPSDError(f"matrix has eigenvalue {eig.values[0]:.3e} below zero")
-    roots = np.sqrt(np.clip(eig.values, 0.0, None))
-    return (eig.vectors * roots) @ eig.vectors.conj().T
-
-
 def polar_decompose(a, tol: float = 1e-12) -> PolarPair:
     """Polar factorization ``T = V|T|`` with V a partial isometry that is
     zero on the kernel of T (so V*V is the range projection of ``|T|``)."""
@@ -257,47 +246,6 @@ def polar_decompose(a, tol: float = 1e-12) -> PolarPair:
         images = (t @ cols) / svals[keep]
         iso = images @ cols.conj().T
     return PolarPair(iso, modulus)
-
-
-def normal_eigen(a, gap_tol: float = 1e-8) -> EigenDecomposition:
-    """Eigendecomposition of a normal matrix.
-
-    Strategy: diagonalize the Hermitian part, group its eigenvalues by
-    ``gap_tol`` gaps, then diagonalize the compressed skew part inside each
-    group; eigenvalues are Rayleigh quotients of the final columns.  Known
-    limitation: real parts of genuinely distinct eigenvalues that chain at
-    spacing near ``gap_tol`` can merge groups and degrade the split, so
-    callers with adversarial spectra should check residuals themselves.
-    """
-    t = _as_square(a, "normal eigensolver input")
-    scale = max(_fro(t), 1.0)
-    defect = _fro(t.conj().T @ t - t @ t.conj().T)
-    if defect > 1e-9 * scale * scale:
-        raise NotHermitianError("matrix is not normal: T*T and TT* differ")
-    herm = (t + t.conj().T) / 2.0
-    skew = (t - t.conj().T) / 2j
-    base = hermitian_eigen(herm)
-    level = gap_tol * max(float(np.max(np.abs(base.values))), 1.0) if base.values.size else 0.0
-    n = t.shape[0]
-    vectors = np.zeros((n, n), dtype=np.complex128)
-    sweeps = base.sweeps
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and base.values[stop] - base.values[stop - 1] <= level:
-            stop += 1
-        cols = base.vectors[:, start:stop]
-        if stop - start == 1:
-            vectors[:, start:stop] = cols
-        else:
-            compressed = cols.conj().T @ skew @ cols
-            inner = hermitian_eigen(compressed)
-            sweeps += inner.sweeps
-            vectors[:, start:stop] = cols @ inner.vectors
-        start = stop
-    values = np.array([vectors[:, j].conj() @ t @ vectors[:, j] for j in range(n)])
-    order = np.lexsort((values.imag, values.real))
-    return EigenDecomposition(values[order], vectors[:, order], sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -375,126 +323,94 @@ def _cluster_members(deltas, limit: complex, side: str, take: int):
     return members
 
 
-def _realize_slots(obj, dim: int):
-    """Diagonal slot values (t, k, f, v, label) in canonical entry order."""
+def _realize_slots(sd: StructuredDecomposition, dim: int, slack_identity: bool):
+    """Diagonal slot values (t, k, f, v, label) in canonical entry order.
+
+    With no infinite part the slack pads the identity at ``alpha``; when
+    ``alpha`` is 0 it pads the kernel unless ``slack_identity`` holds (a
+    positive triple, whose V is the identity everywhere).
+    """
+    alpha = sd.alpha
+    k_blocks = [b for b in sd.blocks if b.part == "k"]
+    f_blocks = [b for b in sd.blocks if b.part == "f"]
+    id_blocks = [b for b in sd.blocks if b.part == "identity"]
+    for b in k_blocks + f_blocks:
+        if b.mult == INF:
+            raise MalformedModelError(
+                "compact and finite-rank blocks must have finite multiplicity")
+    finite_needed = sum(b.mult for b in k_blocks + f_blocks)
+    finite_needed += sum(b.mult for b in id_blocks if b.mult != INF)
+    kern = sd.kernel_multiplicity
+    if kern != INF:
+        finite_needed += kern
+    if dim < finite_needed:
+        raise DimTooSmallError(
+            f"dimension {dim} cannot hold {finite_needed} finite directions")
+    leftover = dim - finite_needed
+    sinks: list[tuple[str, int]] = [("cluster", i)
+                                    for i in range(len(sd.cluster_blocks))]
+    sinks += [("identity", i) for i, b in enumerate(id_blocks) if b.mult == INF]
+    if kern == INF:
+        sinks.append(("kernel", 0))
+    share = {}
+    pad_identity = pad_kernel = 0
+    if sinks:
+        share = dict(zip(sinks, _round_robin(leftover, len(sinks))))
+    elif alpha > MERGE_TOL or slack_identity:
+        pad_identity = leftover
+    else:
+        pad_kernel = leftover
+
     slots: list[tuple[complex, complex, complex, complex, str]] = []
-
-    if isinstance(obj, PositiveTriple):
-        alpha = obj.alpha
-        k_points = sorted(obj.k_entries.points, key=lambda p: -p.value.real)
-        finite_needed = sum(p.mult for p in k_points)
-        finite_needed += sum(e.mult for e in obj.f_entries)
-        ident = obj.identity_multiplicity
-        if ident != INF:
-            finite_needed += ident
-        if dim < finite_needed:
-            raise DimTooSmallError(
-                f"dimension {dim} cannot hold {finite_needed} finite directions")
-        leftover = dim - finite_needed
-        sinks = (["cluster"] if obj.k_entries.clusters else [])
-        if ident == INF:
-            sinks.append("identity")
-        cluster_take = 0
-        if sinks:
-            shares = dict(zip(sinks, _round_robin(leftover, len(sinks))))
-            cluster_take = shares.get("cluster", 0)
-            ident_count = (ident if ident != INF else 0) + shares.get("identity", 0)
-        else:
-            ident_count = ident + leftover
-        for p in k_points:
-            for _ in range(p.mult):
-                kk = p.value.real
-                slots.append((alpha + kk, kk, 0.0, 1.0, "k"))
-        if cluster_take:
-            cl = obj.k_entries.clusters[0]
-            for m in _cluster_members(cl.deltas, 0j, ABOVE, cluster_take):
-                d = m.real
-                slots.append((alpha + d, d, 0.0, 1.0, "cluster"))
-        for _ in range(int(ident_count)):
-            slots.append((alpha, 0.0, 0.0, 1.0, "identity"))
-        for e in obj.f_entries:
-            ff = e.value.real
-            for _ in range(e.mult):
-                slots.append((alpha - ff, 0.0, ff, 1.0, "f"))
-        return alpha, slots
-
-    if isinstance(obj, StructuredDecomposition):
-        alpha = obj.alpha
-        k_blocks = [b for b in obj.blocks if b.part == "k"]
-        f_blocks = [b for b in obj.blocks if b.part == "f"]
-        id_blocks = [b for b in obj.blocks if b.part == "identity"]
-        for b in k_blocks + f_blocks:
-            if b.mult == INF:
-                raise MalformedModelError(
-                    "compact and finite-rank blocks must have finite multiplicity")
-        finite_needed = sum(b.mult for b in k_blocks + f_blocks)
-        finite_needed += sum(b.mult for b in id_blocks if b.mult != INF)
-        kern = obj.kernel_multiplicity
-        if kern != INF:
-            finite_needed += kern
-        if dim < finite_needed:
-            raise DimTooSmallError(
-                f"dimension {dim} cannot hold {finite_needed} finite directions")
-        leftover = dim - finite_needed
-        sinks: list[tuple[str, int]] = [("cluster", i)
-                                        for i in range(len(obj.cluster_blocks))]
-        sinks += [("identity", i) for i, b in enumerate(id_blocks) if b.mult == INF]
-        if kern == INF:
-            sinks.append(("kernel", 0))
-        share = {}
-        if sinks:
-            for key, c in zip(sinks, _round_robin(leftover, len(sinks))):
-                share[key] = c
-            pad_identity = pad_kernel = 0
-        elif alpha > MERGE_TOL:
-            pad_identity, pad_kernel = leftover, 0
-        else:
-            pad_identity, pad_kernel = 0, leftover
-        for b in k_blocks:
-            for _ in range(b.mult):
-                slots.append((b.phase * (alpha + b.value), b.phase * b.value,
-                              0.0, b.phase, "k"))
-        for i, cb in enumerate(obj.cluster_blocks):
-            for m in _cluster_members(cb.deltas, cb.limit, cb.side,
-                                      share.get(("cluster", i), 0)):
-                mag = abs(m)
-                phase = m / mag if mag > 0 else 0.0
-                slots.append((m, phase * (mag - alpha), 0.0, phase, "cluster"))
-        for i, b in enumerate(id_blocks):
-            take = b.mult if b.mult != INF else share.get(("identity", i), 0)
-            for _ in range(int(take)):
-                slots.append((b.phase * alpha, 0.0, 0.0, b.phase, "identity"))
-        for _ in range(pad_identity):
-            slots.append((alpha, 0.0, 0.0, 1.0, "identity"))
-        for b in f_blocks:
-            for _ in range(b.mult):
-                slots.append((b.phase * (alpha - b.value), 0.0,
-                              b.phase * b.value, b.phase, "f"))
-        kern_count = (kern if kern != INF else share.get(("kernel", 0), 0))
-        for _ in range(int(kern_count) + pad_kernel):
-            slots.append((0.0, 0.0, 0.0, 0.0, "kernel"))
-        return alpha, slots
-
-    raise MalformedModelError(
-        f"cannot realize object of type {type(obj).__name__}")
+    for b in k_blocks:
+        for _ in range(b.mult):
+            slots.append((b.phase * (alpha + b.value), b.phase * b.value,
+                          0.0, b.phase, "k"))
+    for i, cb in enumerate(sd.cluster_blocks):
+        for m in _cluster_members(cb.deltas, cb.limit, cb.side,
+                                  share.get(("cluster", i), 0)):
+            mag = abs(m)
+            phase = m / mag if mag > 0 else 0.0
+            slots.append((m, phase * (mag - alpha), 0.0, phase, "cluster"))
+    for i, b in enumerate(id_blocks):
+        take = b.mult if b.mult != INF else share.get(("identity", i), 0)
+        for _ in range(int(take)):
+            slots.append((b.phase * alpha, 0.0, 0.0, b.phase, "identity"))
+    for _ in range(pad_identity):
+        slots.append((alpha, 0.0, 0.0, 1.0, "identity"))
+    for b in f_blocks:
+        for _ in range(b.mult):
+            slots.append((b.phase * (alpha - b.value), 0.0,
+                          b.phase * b.value, b.phase, "f"))
+    kern_count = (kern if kern != INF else share.get(("kernel", 0), 0))
+    for _ in range(int(kern_count) + pad_kernel):
+        slots.append((0.0, 0.0, 0.0, 0.0, "kernel"))
+    return alpha, slots
 
 
 def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     """Materialize a triple or structured decomposition at finite dimension.
 
-    Diagonal entry order: compact-part points descending, cluster members,
-    identity directions (including padding), finite-rank directions, kernel.
-    Leftover dimensions are shared round-robin among the infinite parts
-    (clusters, then infinite identity/kernel blocks); with no infinite part
-    the slack pads the identity at ``alpha`` (kernel when ``alpha`` is 0).
-    A nonzero ``seed`` conjugates every component by the same deterministic
-    unitary.
+    A triple is realized as its structure (:meth:`PositiveTriple.as_structure`,
+    every phase +1).  Diagonal entry order: compact blocks in block order,
+    cluster members, identity directions (including padding), finite-rank
+    blocks in block order, kernel.  Leftover dimensions are shared
+    round-robin among the infinite parts (clusters, then infinite
+    identity/kernel blocks).  With no infinite part the slack pads the
+    identity at ``alpha``; at ``alpha`` 0 a structure pads its kernel
+    (V = 0) while a triple still pads the identity (V = 1).  A nonzero
+    ``seed`` conjugates every component by the same deterministic unitary.
     """
     if dim < 1:
         raise DimTooSmallError(f"dimension must be positive, got {dim}")
     if dim > MAX_DIM:
         raise DimTooLargeError(f"dimension {dim} exceeds the cap {MAX_DIM}")
-    alpha, slots = _realize_slots(obj, dim)
+    triple = isinstance(obj, PositiveTriple)
+    sd = obj.as_structure() if triple else obj
+    if not isinstance(sd, StructuredDecomposition):
+        raise MalformedModelError(
+            f"cannot realize object of type {type(obj).__name__}")
+    alpha, slots = _realize_slots(sd, dim, slack_identity=triple)
     if len(slots) != dim:
         raise DimTooSmallError(
             f"entry layout used {len(slots)} of {dim} dimensions")
@@ -529,7 +445,11 @@ def block_form(a, splitter, tol: float = 1e-10) -> BlockForm:
     if s.shape != t.shape:
         raise ShapeMismatchError(
             f"splitter shape {s.shape} does not match operator shape {t.shape}")
-    eig = hermitian_eigen(s)
+    return _block_form(t, hermitian_eigen(s), tol)
+
+
+def _block_form(t, eig: EigenDecomposition, tol: float) -> BlockForm:
+    """:func:`block_form` of ``t`` given the splitter's eigendecomposition."""
     scale = max(float(np.max(np.abs(eig.values))), 1.0)
     in_range = np.abs(eig.values) > tol * scale
     order = np.concatenate([np.where(in_range)[0], np.where(~in_range)[0]])
@@ -659,26 +579,30 @@ def verify_structure(t, k, f, v, alpha: float,
     vv = vm.conj().T @ vm
     iso = _fro(vv @ vv - vv) / max(_fro(vv), 1.0)
 
+    # the splitter is F when F is Hermitian, else F*F; its one
+    # eigendecomposition serves the bounds below and the block form
     k_psd = f_psd = f_bound = 0.0
-    failures = []
+    split_eig = None
     if positive_mode:
         if k_herm <= tol:
             k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2).values[0])) / k_scale
         if f_herm <= tol:
-            f_eig = hermitian_eigen((fm + fm.conj().T) / 2)
-            f_psd = max(0.0, -float(f_eig.values[0])) / f_scale
-            f_bound = max(0.0, float(f_eig.values[-1]) - alpha) / max(alpha, 1.0)
+            split_eig = hermitian_eigen(fm)
+            f_psd = max(0.0, -float(split_eig.values[0])) / f_scale
+            f_bound = max(0.0, float(split_eig.values[-1]) - alpha) / max(alpha, 1.0)
         witness_src = converse_witness(km, fm, np.eye(n, dtype=np.complex128),
                                        alpha, tm, tol)
     else:
-        ff = fm.conj().T @ fm
-        f_top = float(hermitian_eigen(ff).values[-1]) if n else 0.0
-        f_bound = max(0.0, f_top - alpha * alpha) / max(alpha * alpha, 1.0)
+        ff_eig = hermitian_eigen(fm.conj().T @ fm)
+        f_bound = (max(0.0, float(ff_eig.values[-1]) - alpha * alpha)
+                   / max(alpha * alpha, 1.0))
+        if f_herm > tol:
+            split_eig = ff_eig
         witness_src = converse_witness(km, fm, vm, alpha, tm, tol)
 
-    splitter = fm if f_herm <= tol else fm.conj().T @ fm
-    bf = block_form(tm, splitter, tol)
-    off = bf.off_diagonal_norm / scale
+    if split_eig is None:
+        split_eig = hermitian_eigen(fm if f_herm <= tol else fm.conj().T @ fm)
+    off = _block_form(tm, split_eig, tol).off_diagonal_norm / scale
 
     checks = [
         ("recombination", recomb <= tol),

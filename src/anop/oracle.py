@@ -102,21 +102,21 @@ def _subset_scan(attained, unattained, cap: int, tol: float):
     g = len(ground)
     if g == 0:
         return 0, []
-    masks = np.arange(1, 1 << g, dtype=np.uint32)
-    max_att = np.full(masks.shape, -np.inf)
-    max_un = np.full(masks.shape, -np.inf)
-    for i, (value, is_attained) in enumerate(ground):
-        present = (masks >> np.uint32(i)) & np.uint32(1)
-        column = np.where(present.astype(bool), value, -np.inf)
+    # entry m holds the maxima over the subset whose bitmask is m: item i
+    # doubles the tables, its subsets being the earlier ones plus item i
+    max_att = max_un = np.full(1, -np.inf)
+    for value, is_attained in ground:
         if is_attained:
-            np.maximum(max_att, column, out=max_att)
+            max_att = np.concatenate((max_att, np.maximum(max_att, value)))
+            max_un = np.concatenate((max_un, max_un))
         else:
-            np.maximum(max_un, column, out=max_un)
-    bad = max_un > max_att + tol
+            max_att = np.concatenate((max_att, max_att))
+            max_un = np.concatenate((max_un, np.maximum(max_un, value)))
+    bad = (max_un > max_att + tol)[1:]
     failing = [ground[int(i)][0]
                for i in range(g)
                if not ground[int(i)][1] and bad[(1 << i) - 1]]
-    return int(masks.size), failing
+    return (1 << g) - 1, failing
 
 
 def _mixing_refutes(a_base, a_dir, a_mags, b_base, b_dir, b_mags,

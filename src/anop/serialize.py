@@ -140,15 +140,33 @@ def parse_deltas(obj) -> DecaySequence:
 # spectrum models
 
 
+def _clusters_payload(clusters, kind: str | None) -> list:
+    return [{"limit": _value_out(cl.limit, kind),
+             "side": cl.side,
+             "deltas": deltas_payload(cl.deltas)} for cl in clusters]
+
+
+def _clusters_in(raw_clusters, what: str, make) -> tuple:
+    """Cluster list of a model (``make=Cluster``) or of a structure
+    (``make=ClusterBlock``); ``what`` names the item in field errors."""
+    out = []
+    for rc in raw_clusters:
+        side = _require(rc, "side", what)
+        if side not in (ABOVE, BELOW):
+            raise ParseError(f"cluster side must be above/below, got {side!r}")
+        out.append(make(
+            _value_in(_require(rc, "limit", what), "cluster limit"),
+            side,
+            parse_deltas(_require(rc, "deltas", what))))
+    return tuple(out)
+
+
 def model_payload(model: SpectrumModel) -> dict:
     return {
         "kind": model.kind,
         "points": [{"value": _value_out(p.value, model.kind),
                     "mult": _mult_out(p.mult)} for p in model.points],
-        "clusters": [{"limit": _value_out(cl.limit, model.kind),
-                      "side": cl.side,
-                      "deltas": deltas_payload(cl.deltas)}
-                     for cl in model.clusters],
+        "clusters": _clusters_payload(model.clusters, model.kind),
     }
 
 
@@ -165,16 +183,8 @@ def parse_model(obj) -> SpectrumModel:
         points.append(EigenvalueEntry(
             _value_in(_require(rp, "value", "point"), "point value"),
             _mult_in(_require(rp, "mult", "point"), "point multiplicity")))
-    clusters = []
-    for rc in raw_clusters:
-        side = _require(rc, "side", "cluster")
-        if side not in (ABOVE, BELOW):
-            raise ParseError(f"cluster side must be above/below, got {side!r}")
-        clusters.append(Cluster(
-            _value_in(_require(rc, "limit", "cluster"), "cluster limit"),
-            side,
-            parse_deltas(_require(rc, "deltas", "cluster"))))
-    return SpectrumModel(kind, tuple(points), tuple(clusters))
+    return SpectrumModel(kind, tuple(points),
+                         _clusters_in(raw_clusters, "cluster", Cluster))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +243,7 @@ def structure_payload(sd: StructuredDecomposition) -> dict:
                     "part": b.part,
                     "value": _scrub(b.value),
                     "mult": _mult_out(b.mult)} for b in sd.blocks],
-        "clusters": [{"limit": _value_out(cb.limit, None),
-                      "side": cb.side,
-                      "deltas": deltas_payload(cb.deltas)}
-                     for cb in sd.cluster_blocks],
+        "clusters": _clusters_payload(sd.cluster_blocks, None),
         "kernel_multiplicity": _mult_out(sd.kernel_multiplicity)
         if sd.kernel_multiplicity else 0,
     }
@@ -258,17 +265,9 @@ def parse_structure(obj) -> StructuredDecomposition:
             part,
             _number_in(_require(rb, "value", "block"), "block value"),
             _mult_in(_require(rb, "mult", "block"), "block multiplicity")))
-    cluster_blocks = []
-    for rc in raw_clusters:
-        side = _require(rc, "side", "cluster block")
-        if side not in (ABOVE, BELOW):
-            raise ParseError(f"cluster side must be above/below, got {side!r}")
-        cluster_blocks.append(ClusterBlock(
-            _value_in(_require(rc, "limit", "cluster block"), "cluster limit"),
-            side,
-            parse_deltas(_require(rc, "deltas", "cluster block"))))
+    cluster_blocks = _clusters_in(raw_clusters, "cluster block", ClusterBlock)
     kern = _mult_in(obj.get("kernel_multiplicity", 0), "kernel multiplicity")
-    return StructuredDecomposition(alpha, tuple(blocks), tuple(cluster_blocks), kern)
+    return StructuredDecomposition(alpha, tuple(blocks), cluster_blocks, kern)
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,29 @@ def test_structure_rejects_wrong_kind_and_non_an():
         structure_selfadjoint(bad)
 
 
+def test_triple_as_structure_keeps_the_triple_order():
+    t = decompose_positive(full_model())
+    sd = t.as_structure()
+    assert sd.alpha == t.alpha and sd.kernel_multiplicity == 0
+    assert all(b.phase == 1 for b in sd.blocks)
+    assert [(b.part, b.value) for b in sd.blocks] == [
+        ("k", 1.5), ("f", 1.0), ("f", 1.75)]
+    assert [(cb.limit, cb.side) for cb in sd.cluster_blocks] == [(2.0 + 0j, ABOVE)]
+    got = sorted((v.real, m_) for v, m_ in sd.eigenvalues(3))
+    want = sorted((v.real, m_) for v, m_ in
+                  [(p.value, p.mult) for p in recompose(t).points]
+                  + [(2.0 + d, 1) for d in GEO.terms(3)])
+    assert got == want
+
+
+def test_triple_as_structure_keeps_the_identity_at_alpha_zero():
+    t = PositiveTriple(0.0, positive_points((1.0, 1)), (), 2)
+    sd = t.as_structure()
+    assert [(b.phase, b.part, b.mult) for b in sd.blocks] == [
+        (1, "k", 1), (1, "identity", 2)]
+    assert sd.kernel_multiplicity == 0
+
+
 def test_structure_accepts_positive_models():
     sd = structure_selfadjoint(positive_points((3.0, 1), (2.0, INF)))
     assert sd.alpha == 2.0

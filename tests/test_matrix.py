@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anop.matrix
 from anop.decompose import (
     Block,
     PositiveTriple,
@@ -20,7 +21,6 @@ from anop.errors import (
     NoConvergenceError,
     NotHermitianError,
     NotInjectiveError,
-    NotPSDError,
     ShapeMismatchError,
 )
 from anop.matrix import (
@@ -29,9 +29,7 @@ from anop.matrix import (
     converse_witness,
     hermitian_eigen,
     inverse_via_blocks,
-    normal_eigen,
     polar_decompose,
-    positive_sqrt,
     realize_matrix,
     seeded_unitary,
     verify_structure,
@@ -129,20 +127,7 @@ def test_eigen_reconstructs_input(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# square root and polar
-
-
-def test_positive_sqrt_squares_back():
-    b = random_hermitian(6, seed=9)
-    a = b @ b.conj().T + 6 * np.eye(6)
-    r = positive_sqrt(a)
-    assert np.linalg.norm(r @ r - a) <= 1e-10 * np.linalg.norm(a)
-    assert np.linalg.norm(r - r.conj().T) <= 1e-12 * np.linalg.norm(r)
-
-
-def test_positive_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        positive_sqrt(np.diag([1.0, -1.0]))
+# polar
 
 
 def test_polar_shift_matrix():
@@ -167,25 +152,6 @@ def test_polar_reconstructs_and_is_partial_isometry():
     sv = np.linalg.svd(t, compute_uv=False)
     ev = np.linalg.eigvalsh(pair.modulus)
     assert np.max(np.abs(np.sort(sv) - ev)) <= 1e-10 * nt
-
-
-def test_normal_eigen_recovers_complex_spectrum():
-    values = np.array([2.0 + 1.0j, 2.0 - 1.0j, -1.0 + 0.5j, 0.25j, 3.0])
-    u = seeded_unitary(5, seed=11)
-    t = (u * values) @ u.conj().T
-    eig = normal_eigen(t)
-    # round before ordering so float noise in the real parts cannot flip ties
-    key = lambda z: (round(z.real, 8), round(z.imag, 8))
-    got = sorted(eig.values.tolist(), key=key)
-    want = sorted(values.tolist(), key=key)
-    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10
-    resid = np.linalg.norm(t @ eig.vectors - eig.vectors * eig.values)
-    assert resid <= 1e-10 * np.linalg.norm(t)
-
-
-def test_normal_eigen_rejects_non_normal():
-    with pytest.raises(NotHermitianError):
-        normal_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +209,18 @@ def test_realize_pads_identity_when_no_infinite_part():
     ro = realize_matrix(t, dim=4)
     assert ro.labels == ("k", "identity", "identity", "identity")
     assert np.allclose(ro.diagonal.real, [3.0, 2.0, 2.0, 2.0])
+
+
+def test_realize_alpha_zero_triple_pads_identity():
+    # a finite positive model has alpha 0; its triple keeps V = I on the slack
+    t = decompose_positive(positive_points((3.0, 1), (1.0, 1)))
+    assert t.alpha == 0.0
+    ro = realize_matrix(t, dim=4)
+    assert ro.labels == ("k", "k", "identity", "identity")
+    assert np.array_equal(ro.isometry, np.eye(4))
+    rep = verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry,
+                           ro.alpha)
+    assert rep.ok and rep.mode == "positive"
 
 
 def test_realize_pads_kernel_for_compact_structures():
@@ -366,6 +344,51 @@ def test_verify_flags_non_psd_compact_part():
     rep = verify_structure(t, k, f, v, 1.0)
     assert not rep.ok
     assert "k_positive" in rep.failures
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    real = anop.matrix.hermitian_eigen
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(anop.matrix, "hermitian_eigen", counting)
+    return calls
+
+
+def test_verify_positive_mode_eigensolves_f_once(monkeypatch):
+    ro = realize_matrix(full_triple(), dim=10, seed=3)
+    calls = _count_eigensolves(monkeypatch)
+    rep = verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry,
+                           ro.alpha)
+    assert rep.ok and rep.mode == "positive"
+    # K, F (shared with the block form) and the two witness parts
+    assert len(calls) == 4
+
+
+def test_verify_polar_mode_reuses_gram_of_non_hermitian_f(monkeypatch):
+    m = SpectrumModel(NORMAL, (EigenvalueEntry(2.0 + 0j, INF),
+                               EigenvalueEntry(1j, 1),
+                               EigenvalueEntry(3j, 1)))
+    ro = realize_matrix(structure_normal(m), dim=6, seed=2)
+    assert np.linalg.norm(ro.finite - ro.finite.conj().T) > 0.1
+    calls = _count_eigensolves(monkeypatch)
+    rep = verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry,
+                           ro.alpha)
+    assert rep.ok and rep.mode == "polar"
+    # F*F (shared with the block form) and the two witness parts
+    assert len(calls) == 3
+
+
+def test_verify_rejects_non_hermitian_f_under_loose_tol():
+    ro = realize_matrix(full_triple(), dim=8, seed=1)
+    f = ro.finite.copy()
+    f[0, 1] += 1e-8
+    with pytest.raises(NotHermitianError):
+        verify_structure(ro.matrix, ro.compact, f, ro.isometry, ro.alpha,
+                         tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
