@@ -38,6 +38,9 @@ EIGEN_TOL = 1e-13
 MAX_SWEEPS = 100
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _parallel_order(n):
@@ -253,24 +256,43 @@ def polar_decompose(a, tol: float = 1e-12) -> PolarPair:
 
 
 def _splitmix_uniforms(seed: int, count: int) -> np.ndarray:
-    """splitmix64 stream mapped into (0, 1]; pure integer arithmetic so the
-    sequence is identical on every platform."""
-    out = np.empty(count, dtype=np.float64)
-    z = seed & _MASK64
-    for i in range(count):
-        z = (z + 0x9E3779B97F4A7C15) & _MASK64
-        x = z
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-        x = x ^ (x >> 31)
-        out[i] = (x + 1) / 2.0 ** 64
+    """The first ``count`` outputs of splitmix64 from state ``seed``, mapped
+    into (0, 1] as ``(x + 1) / 2**64``.
+
+    Draw ``i`` (from 1) mixes the state ``z_i = seed + i*gamma mod 2**64``
+    (Steele, Lea & Flood, 2014), so the stream is one pass of ``uint64``
+    array operations.  ``x + 1`` is rounded to float64 once, as the exact
+    integer would be: the 32-bit halves ``hi*2**32`` and ``lo + 1`` are
+    exact in float64 and their sum rounds once.  Only integer and IEEE
+    arithmetic is involved, so the stream is the same on every platform.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    np.right_shift(z, np.uint64(32), out=t)
+    out = t.astype(np.float64)
+    out *= 2.0 ** 32
+    z &= np.uint64(0xFFFFFFFF)
+    z += np.uint64(1)
+    out += z
+    out /= 2.0 ** 64
     return out
 
 
 def seeded_unitary(dim: int, seed: int) -> np.ndarray:
     """Deterministic unitary: seed 0 is the identity, any other seed drives
-    a splitmix64 stream through Box-Muller into a complex Gaussian matrix,
-    then Householder QR with the R-diagonal phases folded into Q."""
+    the splitmix64 stream of :func:`_splitmix_uniforms` through Box-Muller
+    into a complex Gaussian matrix, then Householder QR with the
+    R-diagonal phases folded into Q.  The uniforms are the same on every
+    platform; the Householder loop runs one column at a time in a fixed
+    order."""
     if dim < 1:
         raise ShapeMismatchError(f"dimension must be positive, got {dim}")
     if seed == 0:
@@ -448,13 +470,19 @@ def block_form(a, splitter, tol: float = 1e-10) -> BlockForm:
     return _block_form(t, hermitian_eigen(s), tol)
 
 
+def _range_first(values, tol: float):
+    """Splitter eigenvalue indices, range (``|value| > tol * scale``) first
+    in ascending order, then kernel; and the range dimension."""
+    scale = max(float(np.max(np.abs(values))), 1.0)
+    in_range = np.abs(values) > tol * scale
+    order = np.concatenate([np.where(in_range)[0], np.where(~in_range)[0]])
+    return order, int(np.count_nonzero(in_range))
+
+
 def _block_form(t, eig: EigenDecomposition, tol: float) -> BlockForm:
     """:func:`block_form` of ``t`` given the splitter's eigendecomposition."""
-    scale = max(float(np.max(np.abs(eig.values))), 1.0)
-    in_range = np.abs(eig.values) > tol * scale
-    order = np.concatenate([np.where(in_range)[0], np.where(~in_range)[0]])
+    order, r = _range_first(eig.values, tol)
     basis = eig.vectors[:, order]
-    r = int(np.count_nonzero(in_range))
     b = basis.conj().T @ t @ basis
     off = max(_fro(b[:r, r:]), _fro(b[r:, :r]))
     return BlockForm(b[:r, :r], b[r:, r:], off, r, t.shape[0] - r, basis)
@@ -465,9 +493,10 @@ def inverse_via_blocks(k, f, alpha: float, tol: float = 1e-10) -> np.ndarray:
 
     On the kernel of F the inverse is
     ``(1/alpha) * (I - K0 @ (K0 + alpha*I)**-1)`` and on the range of F it is
-    ``(1/alpha) * (I + F0 @ (alpha*I - F0)**-1)``, each evaluated through the
-    block's own eigendecomposition.  Requires ``alpha > 0`` and F strictly
-    below alpha.
+    ``(1/alpha) * (I + F0 @ (alpha*I - F0)**-1)``.  F is eigensolved once:
+    F0 is diagonal on F's range eigenvectors, so its block needs no second
+    eigensolve; K0 is eigensolved on the kernel of F.  Requires
+    ``alpha > 0`` and F strictly below alpha.
     """
     km = _as_square(k, "compact part")
     fm = _as_square(f, "finite-rank part")
@@ -476,23 +505,22 @@ def inverse_via_blocks(k, f, alpha: float, tol: float = 1e-10) -> np.ndarray:
             f"component shapes {km.shape} and {fm.shape} differ")
     if alpha <= tol:
         raise AlphaZeroError("blockwise inversion requires a positive shift")
-    bf = block_form(fm, fm, tol)
-    q_range = bf.basis[:, :bf.range_dim]
-    q_kernel = bf.basis[:, bf.range_dim:]
+    f_eig = hermitian_eigen(fm)
+    order, r = _range_first(f_eig.values, tol)
+    q_range = f_eig.vectors[:, order[:r]]
+    q_kernel = f_eig.vectors[:, order[r:]]
 
     n = km.shape[0]
     inv = np.zeros((n, n), dtype=np.complex128)
-    if bf.range_dim:
-        f0 = q_range.conj().T @ fm @ q_range
-        eig = hermitian_eigen(f0)
-        gap = alpha - eig.values
+    if r:
+        f_values = f_eig.values[order[:r]]
+        gap = alpha - f_values
         if np.any(gap <= tol * alpha):
             raise NotInjectiveError(
                 "finite-rank part reaches alpha: operator has a kernel")
-        factor = 1.0 + eig.values / gap
-        br = (eig.vectors * (factor / alpha)) @ eig.vectors.conj().T
-        inv += q_range @ br @ q_range.conj().T
-    if bf.kernel_dim:
+        factor = 1.0 + f_values / gap
+        inv += (q_range * (factor / alpha)) @ q_range.conj().T
+    if r < n:
         k0 = q_kernel.conj().T @ km @ q_kernel
         eig = hermitian_eigen(k0)
         factor = 1.0 - eig.values / (eig.values + alpha)

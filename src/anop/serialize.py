@@ -275,7 +275,16 @@ def parse_structure(obj) -> StructuredDecomposition:
 
 
 def matrix_payload(m) -> list:
-    return [[[_scrub(c.real), _scrub(c.imag)] for c in row] for row in m]
+    """Rows of ``[re, im]`` pairs of a square matrix, scrubbed as
+    :func:`_scrub` scrubs one number: every part is a float, ``-0.0`` comes
+    out as ``0.0``, and a NaN or infinite part raises :class:`ParseError`
+    naming the first one in row-major order (real part first)."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    parts = a.view(np.float64).reshape(a.shape + (2,)) + 0.0
+    finite = np.isfinite(parts)
+    if not finite.all():
+        _scrub(parts.flat[int(np.argmin(finite))])
+    return parts.tolist()
 
 
 def parse_matrix(obj):

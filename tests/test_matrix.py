@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from anop.errors import (
 )
 from anop.matrix import (
     MAX_DIM,
+    _splitmix_uniforms,
     block_form,
     converse_witness,
     hermitian_eigen,
@@ -179,6 +181,70 @@ def test_seeded_unitary_is_deterministic():
 def test_seeded_unitary_rejects_bad_dim():
     with pytest.raises(ShapeMismatchError):
         seeded_unitary(0, 1)
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _splitmix_reference(seed, count):
+    """The scalar splitmix64 loop the array code must reproduce bit for bit;
+    ``(x + 1) / 2.0 ** 64`` rounds the exact integer ``x + 1`` once."""
+    out = np.empty(count, dtype=np.float64)
+    z = seed & _MASK64
+    for i in range(count):
+        z = (z + _GAMMA) & _MASK64
+        x = z
+        x = (x ^ (x >> 30)) * _MIX1 & _MASK64
+        x = (x ^ (x >> 27)) * _MIX2 & _MASK64
+        x = x ^ (x >> 31)
+        out[i] = (x + 1) / 2.0 ** 64
+    return out
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _seed_with_first_draw(x):
+    """The seed whose first splitmix64 output is ``x`` (the mix is a
+    bijection of 64-bit words)."""
+    x = _unxorshift(x, 31)
+    x = _unxorshift(x * pow(_MIX2, -1, 1 << 64) & _MASK64, 27)
+    x = _unxorshift(x * pow(_MIX1, -1, 1 << 64) & _MASK64, 30)
+    return (x - _GAMMA) & _MASK64
+
+
+@pytest.mark.parametrize("count", [0, 1, 4097])
+@pytest.mark.parametrize("seed", [1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, -1])
+def test_splitmix_matches_scalar_loop(seed, count):
+    u = _splitmix_uniforms(seed, count)
+    assert u.dtype == np.float64 and u.shape == (count,)
+    assert u.tobytes() == _splitmix_reference(seed, count).tobytes()
+    assert np.all((u > 0.0) & (u <= 1.0))
+
+
+@pytest.mark.parametrize("x", [
+    2 ** 64 - 1,                 # x + 1 = 2**64: no uint64 wrap to 0
+    2 ** 63 + 3 * 2 ** 10 - 1,   # a tie: rounding x first, then x + 1, misses it
+    0,
+])
+def test_splitmix_rounds_x_plus_one_once(x):
+    seed = _seed_with_first_draw(x)
+    assert _splitmix_reference(seed, 1)[0] == (x + 1) / 2.0 ** 64
+    assert _splitmix_uniforms(seed, 1)[0] == (x + 1) / 2.0 ** 64
+
+
+def test_splitmix_stream_digest_is_pinned():
+    # integer and IEEE arithmetic only: the same bytes on every platform
+    u = _splitmix_uniforms(1, 4096).astype("<f8")
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "0d834f9747deb83eceba43e44bdcb6d2f9d4b33f713d999852220337b0e80647")
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +489,15 @@ def test_inverse_via_blocks_matches_direct_inverse():
     direct = np.linalg.inv(ro.matrix)
     assert np.linalg.norm(inv - direct) <= 1e-12 * np.linalg.norm(direct)
     assert np.linalg.norm(ro.matrix @ inv - np.eye(9)) <= 1e-12
+
+
+def test_inverse_via_blocks_eigensolves_f_once(monkeypatch):
+    ro = realize_matrix(full_triple(), dim=16, seed=3)
+    calls = _count_eigensolves(monkeypatch)
+    inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha)
+    assert np.linalg.norm(ro.matrix @ inv - np.eye(16)) <= 1e-12
+    # F, then K compressed to the kernel of F; F is diagonal on its range
+    assert [c[0].shape[0] for c in calls] == [16, 13]
 
 
 def test_inverse_via_blocks_requires_shift_and_injectivity():

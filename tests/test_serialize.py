@@ -165,6 +165,59 @@ def test_matrix_round_trip():
     assert np.array_equal(back, m)
 
 
+def _matrix_payload_reference(m):
+    """The per-entry scrub that ``matrix_payload`` must reproduce exactly."""
+    def scrub(x):
+        f = float(x)
+        if math.isnan(f) or math.isinf(f):
+            raise ParseError(f"non-finite number {f} cannot be emitted")
+        return 0.0 if f == 0.0 else f
+    return [[[scrub(c.real), scrub(c.imag)] for c in row] for row in m]
+
+
+def test_matrix_payload_scrubs_negative_zero():
+    m = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [complex(-0.0, -0.0), 0.0]])
+    out = sz.matrix_payload(m)
+    assert out == [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    assert all(math.copysign(1.0, x) == 1.0
+               for row in out for pair in row for x in pair if x == 0.0)
+    assert "-0.0" not in sz.emit({"m": out})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_matrix_payload_rejects_non_finite(bad, part):
+    m = np.zeros((2, 2), dtype=complex)
+    if part == "real":
+        m[1, 0] = complex(bad, 0.0)
+    else:
+        m[1, 0] = complex(0.0, bad)
+    with pytest.raises(ParseError, match=f"non-finite number {bad} cannot be emitted"):
+        sz.matrix_payload(m)
+
+
+def test_matrix_payload_names_the_first_non_finite_part():
+    m = np.array([[complex(1.0, math.nan), complex(math.inf, 0.0)]] * 2)
+    with pytest.raises(ParseError, match="non-finite number nan"):
+        sz.matrix_payload(m)
+
+
+def test_matrix_payload_of_real_matrix_has_zero_imaginary_parts():
+    m = np.array([[1.5, -2.0], [0.25, -0.0]])
+    out = sz.matrix_payload(m)
+    assert out == [[[1.5, 0.0], [-2.0, 0.0]], [[0.25, 0.0], [0.0, 0.0]]]
+    assert all(type(x) is float for row in out for pair in row for x in pair)
+
+
+def test_matrix_payload_emits_the_reference_bytes():
+    rng = np.random.default_rng(64)
+    m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    m[0, :5] = [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324, -5e-324j]
+    m[1, :4] = [1e300, -1e300j, complex(2.2250738585072014e-308, -1e-310), 1e-300]
+    m[2, ::3] *= 1e-320
+    assert sz.emit({"m": sz.matrix_payload(m)}) == sz.emit({"m": _matrix_payload_reference(m)})
+
+
 def test_parse_matrix_requires_square():
     with pytest.raises(ParseError):
         sz.parse_matrix([[ [1, 0], [0, 0] ]])  # 1x2
