@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
     WrongKindError,
 )
-from .sequences import DecaySequence, MATERIALIZE_DEPTH, merge_sequences
+from .sequences import DecaySequence, MATERIALIZE_DEPTH, MERGE_TOL, merge_sequences
 from .model import (
     ABOVE,
     BELOW,
@@ -32,7 +32,6 @@ from .model import (
     EigenvalueEntry,
     INF,
     KINDS,
-    MERGE_TOL,
     ModuliReport,
     NORMAL,
     POSITIVE,

@@ -11,6 +11,8 @@ envelope automatically.  Exit codes: 0 success, 1 unreadable or structurally
 invalid input, 2 domain failure (diagnostics carry the code), 64 usage.
 The ANOP_TOL environment variable overrides the default tolerance of these
 commands (library calls are unaffected); a --tol flag beats the environment.
+A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
+(64), a bad ANOP_TOL a PARSE failure (1).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .matrix import (
     verify_structure,
 )
 from .model import (
+    MERGE_TOL,
     POSITIVE,
     SELF_ADJOINT,
     classify,
@@ -69,6 +72,27 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _checked(convert, ok, what: str):
+    """Argument type that converts with ``convert`` and accepts only values
+    passing ``ok``; the message names the accepted range."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+    return parse
+
+
+#: the one tolerance check, for --tol and ANOP_TOL alike: the range that
+#: :class:`~anop.oracle.TruncationProfile` enforces (NaN and inf fail it)
+_tolerance = _checked(float, lambda t: 0.0 < t < 1.0,
+                      "tolerance must be a number in (0, 1)")
+_depth = _checked(int, lambda d: d >= 2, "depth must be an integer of at least 2")
 
 
 def _build_parser() -> _Parser:
@@ -106,7 +130,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--dim", type=int, required=True, help="matrix dimension")
         sp.add_argument("--seed", type=int, default=0,
                         help="conjugating unitary seed (0 keeps the diagonal)")
-        sp.add_argument("--tol", type=float, default=None, help="check tolerance")
+        sp.add_argument("--tol", type=_tolerance, default=None,
+                        help="check tolerance")
     sub.choices["realize"].add_argument(
         "--verify", action="store_true",
         help="attach a structural verification report")
@@ -115,12 +140,14 @@ def _build_parser() -> _Parser:
         help="split by F itself or by F*F")
 
     sp = add("polar", "polar decomposition of a matrix document")
-    sp.add_argument("--tol", type=float, default=None, help="rank cutoff tolerance")
+    sp.add_argument("--tol", type=_tolerance, default=None,
+                    help="rank cutoff tolerance")
 
     sp = add("oracle", "independent attainment probe of a spectrum model")
-    sp.add_argument("--depth", type=int, default=12,
+    sp.add_argument("--depth", type=_depth, default=12,
                     help="cluster materialization depth for probing")
-    sp.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+    sp.add_argument("--tol", type=_tolerance, default=None,
+                    help="comparison tolerance")
 
     sp = add("fuzz", "cross-check classifier and oracle on seeded models",
              takes_input=False)
@@ -129,8 +156,9 @@ def _build_parser() -> _Parser:
                     choices=("all", "violators") + FAMILIES,
                     help="generator family")
     sp.add_argument("--seed", type=int, default=0, help="base seed")
-    sp.add_argument("--depth", type=int, default=12, help="oracle depth")
-    sp.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+    sp.add_argument("--depth", type=_depth, default=12, help="oracle depth")
+    sp.add_argument("--tol", type=_tolerance, default=None,
+                    help="comparison tolerance")
     return parser
 
 
@@ -141,9 +169,9 @@ def _tol(args, default: float) -> float:
     env = os.environ.get("ANOP_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
-            raise ParseError(f"ANOP_TOL must be a number, got {env!r}") from None
+            return _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ParseError(f"ANOP_TOL: {exc}") from None
     return default
 
 
@@ -315,12 +343,12 @@ def _cmd_polar(args):
 
 
 def _cmd_oracle(args):
-    profile = TruncationProfile(depth=args.depth, tol=_tol(args, 1e-9))
+    profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
     return sz.oracle_payload(attainment_oracle(_model_in(args), profile))
 
 
 def _cmd_fuzz(args):
-    profile = TruncationProfile(depth=args.depth, tol=_tol(args, 1e-9))
+    profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
     disagreements = []
     for i in range(args.count):
         seed = args.seed + i

@@ -38,7 +38,7 @@ from .model import (
     descending_prefix,
     normalize_model,
 )
-from .sequences import DecaySequence, MATERIALIZE_DEPTH
+from .sequences import DecaySequence, MATERIALIZE_DEPTH, close_groups
 
 
 def _as_count(value, what: str):
@@ -70,14 +70,8 @@ def _merged_finite_entries(entries, upper: float | None, what: str):
                 raise MalformedModelError(f"{what} multiplicities must be finite")
             raise MalformedModelError(f"{what} multiplicity {mult!r} must be a positive integer")
         items.append((v, mult))
-    items.sort()
-    merged: list[list] = []
-    for v, m in items:
-        if merged and v - merged[-1][0] <= MERGE_TOL:
-            merged[-1][1] += m
-        else:
-            merged.append([v, m])
-    return tuple(EigenvalueEntry(complex(v, 0.0), m) for v, m in merged)
+    return tuple(EigenvalueEntry(complex(g[0][0], 0.0), sum(m for _, m in g))
+                 for g in close_groups(items, key=lambda it: it[0]))
 
 
 @dataclass(frozen=True)

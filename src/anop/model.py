@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import MalformedModelError
-from .sequences import DecaySequence, MATERIALIZE_DEPTH, merge_sequences
+from .sequences import (
+    DecaySequence, MATERIALIZE_DEPTH, MERGE_TOL, close_groups, merge_sequences)
 
 INF = math.inf
 
@@ -48,9 +49,6 @@ VIOLATION_ORDER = (
     MULTIPLE_INFINITE_MULTIPLICITIES,
     LIMIT_NEQ_INFINITE_MULT,
 )
-
-#: Absolute tolerance at which two presented spectral values are the same.
-MERGE_TOL = 1e-9
 
 _REAL_KINDS = (POSITIVE, SELF_ADJOINT)
 _IMAG_SLACK = 1e-15
@@ -156,40 +154,6 @@ def _sort_key(v: complex):
     return (v.real, v.imag)
 
 
-def _merge_values(items, tol: float = MERGE_TOL):
-    """Union-find merge of (value, mult) pairs whose values sit within tol.
-
-    Transitive: chains of nearby values collapse into one entry keyed by the
-    lexicographically smallest representative.
-    """
-    items = list(items)
-    n = len(items)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(items[i][0] - items[j][0]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(items[i])
-    merged = []
-    for members in groups.values():
-        value = min((m[0] for m in members), key=_sort_key)
-        mult = sum(m[1] for m in members)
-        merged.append((value, mult))
-    merged.sort(key=lambda it: _sort_key(it[0]))
-    return merged
-
-
 def normalize_model(model: SpectrumModel) -> SpectrumModel:
     """Canonical form: validated, merged, sorted; idempotent.
 
@@ -214,24 +178,16 @@ def normalize_model(model: SpectrumModel) -> SpectrumModel:
         else:
             survivors.append(cl)
 
+    # each group of one value keeps its smallest and sums multiplicities
     merged_points = tuple(
-        EigenvalueEntry(v, m) for v, m in _merge_values(point_items))
+        EigenvalueEntry(g[0][0], sum(m for _, m in g))
+        for g in close_groups(point_items, key=lambda it: it[0]))
 
     # merge clusters sharing a (limit, side) slot
-    by_slot = _merge_values(
-        [(cl.limit, 1) for cl in survivors]) if survivors else []
-    reps = [v for v, _ in by_slot]
-
-    def rep_of(limit):
-        for v in reps:
-            if abs(limit - v) <= MERGE_TOL:
-                return v
-        return limit
-
     slots: dict[tuple, list[Cluster]] = {}
-    for cl in survivors:
-        key = (_sort_key(rep_of(cl.limit)), cl.side)
-        slots.setdefault(key, []).append(cl)
+    for group in close_groups(survivors, key=lambda cl: cl.limit):
+        for cl in group:
+            slots.setdefault((_sort_key(group[0].limit), cl.side), []).append(cl)
     merged_clusters = []
     for (limit_key, side), group in slots.items():
         limit = complex(*limit_key)
@@ -335,15 +291,6 @@ def modulus_spectrum(model: SpectrumModel,
 # classification
 
 
-def _distinct_reals(values, tol: float = MERGE_TOL):
-    out: list[float] = []
-    for v in sorted(values):
-        if out and v - out[-1] <= tol:
-            continue
-        out.append(v)
-    return out
-
-
 def _declared_positive_negative(n: SpectrumModel) -> bool:
     if n.kind != POSITIVE:
         return False
@@ -364,6 +311,8 @@ def classify(model: SpectrumModel) -> ANVerdict:
     Finite-total-multiplicity models are AN outright (every subspace of a
     finite-dimensional space attains), except that a declared-positive model
     showing negative values breaks its kind contract regardless of size.
+    Cluster limits and infinite-multiplicity values joined by a chain of
+    steps within ``MERGE_TOL`` are one essential value.
     """
     n = normalize_model(model)
     mod = modulus_spectrum(n)
@@ -373,18 +322,18 @@ def classify(model: SpectrumModel) -> ANVerdict:
         found.add(NEGATIVE_VALUE)
 
     if not is_finite_dimensional(mod):
-        limits = _distinct_reals(cl.limit.real for cl in mod.clusters)
-        if len(limits) > 1:
+        # essential values: cluster limits (True) and infinite multiplicities
+        inf_values = [p.value.real for p in mod.points if p.is_infinite()]
+        groups = close_groups([(cl.limit.real, True) for cl in mod.clusters]
+                              + [(v, False) for v in inf_values], key=lambda e: e[0])
+        if sum(any(is_limit for _, is_limit in g) for g in groups) > 1:
             found.add(MULTIPLE_LIMIT_POINTS)
         if any(cl.side == BELOW for cl in mod.clusters):
             found.add(LIMIT_FROM_BELOW)
-        inf_values = [p.value.real for p in mod.points if p.is_infinite()]
         if len(inf_values) > 1:
             found.add(MULTIPLE_INFINITE_MULTIPLICITIES)
-        for limit in limits:
-            for v in inf_values:
-                if abs(limit - v) > MERGE_TOL:
-                    found.add(LIMIT_NEQ_INFINITE_MULT)
+        if mod.clusters and inf_values and len(groups) > 1:
+            found.add(LIMIT_NEQ_INFINITE_MULT)
 
     violations = tuple(c for c in VIOLATION_ORDER if c in found)
     return ANVerdict(not violations, violations, mod)

@@ -1,12 +1,14 @@
-"""Independent attainment checks and seeded model generators.
+"""Attainment checks and seeded model generators.
 
-The oracle re-derives the attainment verdict from the definition instead of
-the classifier's rule table: it materializes the spectrum, enumerates
-restriction subspaces spanned by eigendirections (diagonal subsets plus
-cluster tail subspaces), and searches for two-point mixing subspaces whose
-restricted norm is a strict supremum.  A model passes only if every probed
-subspace attains its norm.  numpy's LAPACK may be used here as lab
-equipment; library results never depend on this module.
+The oracle re-derives the attainment verdict on materialized spectra: it
+checks restriction subspaces spanned by eigendirections (diagonal subsets
+plus cluster tail subspaces), and searches for two-point mixing subspaces
+whose restricted norm is a strict supremum.  A model passes only if every
+probed subspace attains its norm.  The tail check is the classifier's
+``LIMIT_FROM_BELOW`` rule (every cluster tail approached from below fails),
+so on that code the two agree by construction; the mixing probes are the
+independent part.  numpy's LAPACK may be used here as
+lab equipment; library results never depend on this module.
 
 Known blind spot, by design: mixing witnesses draw their vectors from
 materialized cluster members, so a hand-written explicit cluster that stops
@@ -40,17 +42,19 @@ from .model import (
     SpectrumModel,
     normalize_model,
 )
-from .sequences import DecaySequence
+from .sequences import MERGE_TOL, DecaySequence, close_groups
 
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """How hard the oracle probes: materialization depth per cluster,
-    ground-set cap for subset enumeration, and the comparison tolerance."""
+    """How hard the oracle probes: materialization depth per cluster, the
+    comparison tolerance, and ``subset_cap``, which only sizes the reported
+    ``subsets_checked`` count: the tail check is the classifier's
+    ``LIMIT_FROM_BELOW`` rule and enumerates no subsets."""
 
     depth: int = 12
     subset_cap: int = 14
-    tol: float = 1e-9
+    tol: float = MERGE_TOL
 
     def __post_init__(self):
         if self.depth < 2:
@@ -79,44 +83,22 @@ class OracleReport:
     pairs_checked: int
 
 
-def _dedupe_sorted(values, tol: float):
-    out = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return out
-
-
 def _subset_scan(attained, unattained, cap: int, tol: float):
-    """Exhaustively check sup = max on eigenbasis subsets.
+    """Check sup = max on eigenbasis subsets.
 
     Ground items are attained values (eigenvector directions, supremum
     reached) and unattained markers (cluster tail subspaces approaching
     their value from below).  A subset fails when its largest unattained
-    marker tops every attained value.  Markers survive trimming because a
-    failing subset can always be shrunk to a single marker.
+    marker tops every attained value.  A singleton marker always fails, so
+    the failing values are exactly the distinct markers: the classifier's
+    ``LIMIT_FROM_BELOW`` rule, with no subset enumerated.  The count is that
+    of the nonempty subsets of the markers plus the largest distinct
+    attained values, up to ``cap`` items in all (markers always count).
     """
-    markers = [(v, False) for v in _dedupe_sorted(unattained, tol)]
-    points = [(v, True) for v in _dedupe_sorted(attained, tol)]
-    ground = markers + sorted(points, reverse=True)[: max(cap - len(markers), 0)]
-    g = len(ground)
-    if g == 0:
-        return 0, []
-    # entry m holds the maxima over the subset whose bitmask is m: item i
-    # doubles the tables, its subsets being the earlier ones plus item i
-    max_att = max_un = np.full(1, -np.inf)
-    for value, is_attained in ground:
-        if is_attained:
-            max_att = np.concatenate((max_att, np.maximum(max_att, value)))
-            max_un = np.concatenate((max_un, max_un))
-        else:
-            max_att = np.concatenate((max_att, max_att))
-            max_un = np.concatenate((max_un, np.maximum(max_un, value)))
-    bad = (max_un > max_att + tol)[1:]
-    failing = [ground[int(i)][0]
-               for i in range(g)
-               if not ground[int(i)][1] and bad[(1 << i) - 1]]
-    return (1 << g) - 1, failing
+    markers = [g[0] for g in close_groups(unattained, tol)]
+    points = len(close_groups(attained, tol))
+    g = len(markers) + min(points, max(cap - len(markers), 0))
+    return (1 << g) - 1, markers
 
 
 def _mixing_refutes(a_base, a_dir, a_mags, b_base, b_dir, b_mags,
@@ -176,9 +158,9 @@ def attainment_oracle(model: SpectrumModel,
     """Decide attainment by direct subspace probing.
 
     Checks, in order: declared positivity on materialized members (positive
-    kind only), supremum attainment on every eigenbasis subset including
-    cluster tails, and unattained two-point mixing subspaces between
-    distinct essential values.
+    kind only), supremum attainment on eigenbasis subsets including cluster
+    tails, and unattained two-point mixing subspaces between distinct
+    essential values.
     """
     prof = profile or TruncationProfile()
     tol = prof.tol
@@ -228,12 +210,7 @@ def attainment_oracle(model: SpectrumModel,
             "unattained_tail", (value,),
             f"tail subspace has supremum {value} reached by no member"))
 
-    groups: list[list] = []
-    for item in sorted(essential, key=lambda e: e[0]):
-        if groups and item[0] - groups[-1][0][0] <= tol:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
+    groups = close_groups(essential, tol, key=lambda e: e[0])
     pairs = 0
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):

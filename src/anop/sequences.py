@@ -31,6 +31,43 @@ HARMONIC = "harmonic"
 #: modulus of genuinely complex limits, cluster merges).
 MATERIALIZE_DEPTH = 64
 
+#: Absolute tolerance at which two presented spectral values are the same:
+#: values joined by a chain of steps, each at most this far, are one value.
+MERGE_TOL = 1e-9
+
+
+def close_groups(items, tol: float = MERGE_TOL, key=None) -> list[list]:
+    """Group items whose values (``key(item)``, real or complex) are joined
+    by a chain of steps each at most ``tol`` apart (single linkage).
+
+    Groups, and the members of each group, come out in ``(real, imag)``
+    order of their values; ties keep input order.  After sorting by real
+    part, each scan stops once the real gap exceeds ``tol``, which finds the
+    same groups as comparing every pair.
+    """
+    keyed = sorted(((complex(key(it) if key else it), it) for it in items),
+                   key=lambda p: (p[0].real, p[0].imag))
+    parent = list(range(len(keyed)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, (va, _) in enumerate(keyed):
+        for b in range(a + 1, len(keyed)):
+            vb = keyed[b][0]
+            if vb.real - va.real > tol:
+                break
+            if abs(vb - va) <= tol:
+                ra, rb = find(a), find(b)
+                parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list] = {}
+    for a, (_, it) in enumerate(keyed):
+        groups.setdefault(find(a), []).append(it)
+    return list(groups.values())
+
 
 @dataclass(frozen=True)
 class DecaySequence:
@@ -120,21 +157,15 @@ class DecaySequence:
         return math.inf
 
 
-def merge_sequences(seqs, depth: int = MATERIALIZE_DEPTH, tol: float = 1e-9) -> DecaySequence:
+def merge_sequences(seqs, depth: int = MATERIALIZE_DEPTH,
+                    tol: float = MERGE_TOL) -> DecaySequence:
     """Interleave several delta sequences into one explicit sequence.
 
     Used when two clusters land on the same (limit, side) after a modulus or
-    Gram map.  Coincident terms (within ``tol``) are kept once; the merge is
-    non-terminating when any source is.
+    Gram map.  Coincident terms (see :func:`close_groups`) are kept once, as
+    their largest; the merge is non-terminating when any source is.
     """
-    pool: list[float] = []
-    for s in seqs:
-        pool.extend(s.terms(depth))
-    pool.sort(reverse=True)
-    merged: list[float] = []
-    for t in pool:
-        if merged and merged[-1] - t <= tol:
-            continue
-        merged.append(t)
+    pool = [t for s in seqs for t in s.terms(depth)]
+    merged = [g[-1] for g in reversed(close_groups(pool, tol))]
     terminating = all(s.terminating for s in seqs)
     return DecaySequence.explicit(merged[:depth], terminating=terminating)

@@ -144,6 +144,39 @@ def test_env_tolerance_must_be_numeric(monkeypatch):
     assert json.loads(out)["result"]["is_an"] is True
 
 
+BAD_TOL_ARGV = [
+    ["oracle", "positive_tail.json", "--tol", "0"],
+    ["oracle", "positive_tail.json", "--tol", "1"],
+    ["oracle", "positive_tail.json", "--tol", "nan"],
+    ["oracle", "positive_tail.json", "--tol", "inf"],
+    ["oracle", "positive_tail.json", "--depth", "1"],
+    ["fuzz", "--count", "1", "--tol", "0"],
+    ["fuzz", "--count", "1", "--depth", "1"],
+    ["verify", "positive_tail.json", "--dim", "8", "--tol", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_TOL_ARGV, ids=" ".join)
+def test_bad_tolerance_or_depth_flag_is_a_usage_error(argv):
+    argv = [str(SPECS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("anop: argument --")
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "inf"])
+def test_env_tolerance_outside_unit_interval_is_a_parse_failure(monkeypatch, value):
+    monkeypatch.setenv("ANOP_TOL", value)
+    for argv in (["verify", str(SPECS / "positive_tail.json"), "--dim", "8"],
+                 ["oracle", str(SPECS / "positive_tail.json")]):
+        code, out, _ = run_cli(argv)
+        assert code == 1, argv
+        env = json.loads(out)
+        assert env["result"] is None
+        assert env["diagnostics"][0]["code"] == "PARSE"
+
+
 def test_fuzz_reports_full_agreement():
     code, out, _ = run_cli(["fuzz", "--count", "24", "--seed", "7"])
     assert code == 0
@@ -197,15 +230,15 @@ def test_invert_matrix_reads_model_or_triple(monkeypatch):
             == json.loads(direct)["result"]["residual"])
 
 
-def run_module(argv, stdin_text=None):
+def run_module(argv, stdin_text=None, extra_env=None, preexec_fn=None):
     """Run ``python -m anop`` as a child process on the same ``anop``
     package as this process, whether or not it is installed."""
-    env = dict(os.environ)
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "anop", *argv],
                           input=stdin_text, capture_output=True, text=True,
-                          env=env)
+                          env=env, preexec_fn=preexec_fn)
 
 
 def test_console_script_reads_file():
@@ -241,3 +274,30 @@ def test_installed_console_script_reads_file():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "classify_positive_tail.json").read_text()
+
+
+#: address-space cap for the oracle child: enough for the interpreter and
+#: numpy, far below the 2**g-entry tables a subset enumeration would need
+ORACLE_AS_CAP = 512 << 20
+
+
+def test_oracle_tail_scan_runs_in_bounded_memory(tmp_path):
+    resource = pytest.importorskip("resource")
+    doc = {"kind": "positive", "points": [], "clusters": [
+        {"limit": float(k), "side": "below",
+         "deltas": {"kind": "geometric", "first": 0.25, "ratio": 0.5}}
+        for k in range(1, 41)]}
+    path = tmp_path / "below40.json"
+    path.write_text(json.dumps(doc))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (ORACLE_AS_CAP, ORACLE_AS_CAP))
+
+    proc = run_module(["oracle", str(path)],
+                      extra_env={"OPENBLAS_NUM_THREADS": "1"},
+                      preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert [f["kind"] for f in result["failures"]] == ["unattained_tail"] * 40
+    assert [f["witness"][0] for f in result["failures"]] == [float(k) for k in range(1, 41)]
+    assert result["subsets_checked"] == 2 ** 40 - 1
