@@ -49,7 +49,6 @@ from .model import (
 from .decompose import (
     AMForm,
     Block,
-    ClusterBlock,
     FredholmReport,
     PositiveTriple,
     StructuredDecomposition,

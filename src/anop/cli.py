@@ -36,7 +36,6 @@ from .decompose import (
     square_triple,
     sqrt_triple,
     structure_normal,
-    structure_selfadjoint,
 )
 from .errors import AnopError, ParseError
 from .matrix import (
@@ -46,14 +45,7 @@ from .matrix import (
     realize_matrix,
     verify_structure,
 )
-from .model import (
-    MERGE_TOL,
-    POSITIVE,
-    SELF_ADJOINT,
-    classify,
-    moduli_report,
-    normalize_model,
-)
+from .model import MERGE_TOL, POSITIVE, classify, moduli_report, normalize_model
 from .oracle import (
     FAMILIES,
     TruncationProfile,
@@ -93,6 +85,7 @@ def _checked(convert, ok, what: str):
 _tolerance = _checked(float, lambda t: 0.0 < t < 1.0,
                       "tolerance must be a number in (0, 1)")
 _depth = _checked(int, lambda d: d >= 2, "depth must be an integer of at least 2")
+_count = _checked(int, lambda c: c >= 0, "count must be a non-negative integer")
 
 
 def _build_parser() -> _Parser:
@@ -151,7 +144,7 @@ def _build_parser() -> _Parser:
 
     sp = add("fuzz", "cross-check classifier and oracle on seeded models",
              takes_input=False)
-    sp.add_argument("--count", type=int, default=100, help="models to generate")
+    sp.add_argument("--count", type=_count, default=100, help="models to generate")
     sp.add_argument("--family", default="all",
                     choices=("all", "violators") + FAMILIES,
                     help="generator family")
@@ -209,12 +202,10 @@ def _decomposition_in(args):
     """Triple or structure; a bare model is decomposed by kind first."""
     data = _load(args)
     if isinstance(data, dict) and "kind" in data:
-        n = normalize_model(sz.parse_model(data))
-        if n.kind == POSITIVE:
-            return decompose_positive(n)
-        if n.kind == SELF_ADJOINT:
-            return structure_selfadjoint(n)
-        return structure_normal(n)
+        model = sz.parse_model(data)
+        if model.kind == POSITIVE:
+            return decompose_positive(model)
+        return structure_normal(model)
     if isinstance(data, dict) and "blocks" in data:
         return sz.parse_structure(data)
     if isinstance(data, dict) and "alpha" in data:
@@ -256,10 +247,7 @@ def _cmd_invert(args):
 
 
 def _cmd_structure(args):
-    n = normalize_model(_model_in(args))
-    if n.kind in (POSITIVE, SELF_ADJOINT):
-        return sz.structure_payload(structure_selfadjoint(n))
-    return sz.structure_payload(structure_normal(n))
+    return sz.structure_payload(structure_normal(_model_in(args)))
 
 
 def _cmd_gram(args):

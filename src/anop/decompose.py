@@ -6,7 +6,10 @@ positive compact, F positive finite rank, ``KF = 0``, ``F <= alpha*I`` and
 spectral presentation of that splitting; the operations below move triples
 through squares, square roots and inverses, and extend the decomposition to
 self-adjoint and normal models via ``T = K - F + alpha*V`` with V a partial
-isometry carrying the eigenvalue phases.
+isometry carrying the eigenvalue phases.  The triple and every structure
+come from one split of the points at alpha (:func:`_split`); a structure
+adds each point's phase and sends points within ``MERGE_TOL`` of zero to
+its kernel, and keeps clusters as the model states them.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ from .errors import (
 )
 from .model import (
     ABOVE,
-    BELOW,
     INF,
     MERGE_TOL,
-    NEGATIVE_VALUE,
     NORMAL,
     POSITIVE,
     SELF_ADJOINT,
@@ -35,10 +36,11 @@ from .model import (
     EigenvalueEntry,
     SpectrumModel,
     classify,
-    descending_prefix,
+    _declared_positive_negative,
+    mapped_cluster,
     normalize_model,
 )
-from .sequences import DecaySequence, MATERIALIZE_DEPTH, close_groups
+from .sequences import MATERIALIZE_DEPTH, close_groups
 
 
 def _as_count(value, what: str):
@@ -157,57 +159,45 @@ class PositiveTriple:
         blocks += [Block(one, "f", e.value.real, e.mult) for e in self.f_entries]
         if self.identity_multiplicity:
             blocks.append(Block(one, "identity", 0.0, self.identity_multiplicity))
-        clusters = tuple(ClusterBlock(complex(self.alpha, 0.0), ABOVE, cl.deltas)
+        clusters = tuple(Cluster(complex(self.alpha, 0.0), ABOVE, cl.deltas)
                          for cl in self.k_entries.clusters)
         return StructuredDecomposition(self.alpha, tuple(blocks), clusters, 0)
 
 
 @dataclass(frozen=True)
 class Block:
-    """One spectral block of a structured decomposition: the eigenvalue is
-    ``phase * (alpha + value)`` for part "k", ``phase * (alpha - value)`` for
-    part "f", and ``phase * alpha`` for part "identity"."""
+    """One spectral block of a structured decomposition."""
 
     phase: complex
     part: str  # "k" | "f" | "identity"
     value: float
     mult: float  # int >= 1 or inf
 
-
-@dataclass(frozen=True)
-class ClusterBlock:
-    """A compact-part accumulation kept in original form; each member
-    ``limit +/- delta`` carries its own phase ``member / |member|``."""
-
-    limit: complex
-    side: str
-    deltas: DecaySequence
+    def eigenvalue(self, alpha: float) -> complex:
+        """``phase * (alpha + value)`` for part "k", ``phase * (alpha -
+        value)`` for part "f", and ``phase * alpha`` for part "identity"."""
+        if self.part == "identity":
+            return self.phase * alpha
+        return self.phase * (alpha + self.value if self.part == "k" else alpha - self.value)
 
 
 @dataclass(frozen=True)
 class StructuredDecomposition:
     """Spectral form of ``T = K - F + alpha*V`` with ``K = V*K1`` and
     ``F = V*F1`` where ``|T| = K1 - F1 + alpha*I``; V vanishes exactly on
-    the kernel."""
+    the kernel.  Compact-part accumulations keep their original form: each
+    cluster member carries its own phase ``member / |member|``."""
 
     alpha: float
     blocks: tuple[Block, ...]
-    cluster_blocks: tuple[ClusterBlock, ...]
+    cluster_blocks: tuple[Cluster, ...]
     kernel_multiplicity: float  # int >= 0 or inf
 
     def eigenvalues(self, depth: int):
         """Recombined (value, mult) pairs, kernel included."""
-        out = []
-        for b in self.blocks:
-            if b.part == "k":
-                out.append((b.phase * (self.alpha + b.value), b.mult))
-            elif b.part == "f":
-                out.append((b.phase * (self.alpha - b.value), b.mult))
-            else:
-                out.append((b.phase * self.alpha, b.mult))
-        for cb in self.cluster_blocks:
-            sign = 1.0 if cb.side == ABOVE else -1.0
-            out.extend((cb.limit + sign * d, 1) for d in cb.deltas.terms(depth))
+        out = [(b.eigenvalue(self.alpha), b.mult) for b in self.blocks]
+        for cl in self.cluster_blocks:
+            out.extend((m, 1) for m in cl.members(depth))
         if self.kernel_multiplicity:
             out.append((0j, self.kernel_multiplicity))
         return out
@@ -253,10 +243,34 @@ class FredholmReport:
 # positive decomposition
 
 
-def _essential_level(mod: SpectrumModel) -> float:
-    essential = [cl.limit.real for cl in mod.clusters]
-    essential += [p.value.real for p in mod.points if p.is_infinite()]
-    return min(essential) if essential else 0.0
+def _split(n: SpectrumModel):
+    """The split at alpha behind every decomposition, for a normalized model.
+
+    A model that is not AN raises :class:`NotANError`.  ``alpha`` is the
+    least essential modulus (cluster limits and infinite multiplicities), 0
+    when there is none.  Each point is split by its modulus ``m``, which in
+    a positive model is the value itself, sign kept down to ``-MERGE_TOL``:
+    "identity" when ``m`` is within ``MERGE_TOL`` of alpha (value 0), "k"
+    above it (value ``m - alpha``) and "f" below it (value ``alpha - m``).
+    Returns alpha and one ``(point, part, value)`` per point, in point order.
+    """
+    verdict = classify(n)
+    if not verdict.is_an:
+        raise NotANError(
+            "model is not absolutely norm attaining: " + ", ".join(verdict.violations))
+    mod = verdict.modulus_collapsed
+    alpha = min([cl.limit.real for cl in mod.clusters]
+                + [p.value.real for p in mod.points if p.is_infinite()], default=0.0)
+    split = []
+    for p in n.points:
+        m = p.value.real if n.kind == POSITIVE else abs(p.value)
+        if abs(m - alpha) <= MERGE_TOL:
+            split.append((p, "identity", 0.0))
+        elif m > alpha:
+            split.append((p, "k", m - alpha))
+        else:
+            split.append((p, "f", alpha - m))
+    return alpha, split
 
 
 def decompose_positive(model: SpectrumModel) -> PositiveTriple:
@@ -264,32 +278,17 @@ def decompose_positive(model: SpectrumModel) -> PositiveTriple:
     n = normalize_model(model)
     if n.kind != POSITIVE:
         raise WrongKindError(f"decomposition needs a positive model, got kind {n.kind!r}")
-    verdict = classify(n)
-    if NEGATIVE_VALUE in verdict.violations:
+    if _declared_positive_negative(n):
         raise NegativeValueError("model declares negative spectral values")
-    if not verdict.is_an:
-        raise NotANError(
-            "model is not absolutely norm attaining: " + ", ".join(verdict.violations))
-
-    alpha = _essential_level(verdict.modulus_collapsed)
-    k_points = []
-    f_entries = []
-    identity = 0
-    for p in n.points:
-        v = p.value.real
-        if abs(v - alpha) <= MERGE_TOL:
-            identity = identity + p.mult
-        elif v > alpha:
-            k_points.append(EigenvalueEntry(complex(v - alpha, 0.0), p.mult))
-        else:
-            f_entries.append(EigenvalueEntry(complex(alpha - v, 0.0), p.mult))
+    alpha, split = _split(n)
+    k_points = tuple(EigenvalueEntry(complex(v, 0.0), p.mult)
+                     for p, part, v in split if part == "k")
+    f_entries = tuple(EigenvalueEntry(complex(v, 0.0), p.mult)
+                      for p, part, v in split if part == "f")
+    identity = sum(p.mult for p, part, _ in split if part == "identity")
     k_clusters = tuple(Cluster(0j, ABOVE, cl.deltas) for cl in n.clusters)
-    return PositiveTriple(
-        alpha,
-        SpectrumModel(POSITIVE, tuple(k_points), k_clusters),
-        tuple(f_entries),
-        identity,
-    )
+    return PositiveTriple(alpha, SpectrumModel(POSITIVE, k_points, k_clusters),
+                          f_entries, identity)
 
 
 def recompose(triple: PositiveTriple) -> SpectrumModel:
@@ -316,13 +315,8 @@ def _map_k_model(k: SpectrumModel, fn, depth: int) -> SpectrumModel:
     """Apply a strictly increasing map fixing zero to the compact part."""
     points = tuple(EigenvalueEntry(complex(fn(p.value.real), 0.0), p.mult)
                    for p in k.points)
-    clusters = []
-    for cl in k.clusters:
-        mags = descending_prefix(fn(d) for d in cl.deltas.terms(depth))
-        if mags:
-            clusters.append(Cluster(0j, ABOVE, DecaySequence.explicit(
-                mags, terminating=cl.deltas.terminating)))
-    return SpectrumModel(POSITIVE, points, tuple(clusters))
+    mapped = (mapped_cluster(cl, lambda z: fn(z.real), depth) for cl in k.clusters)
+    return SpectrumModel(POSITIVE, points, tuple(cl for cl in mapped if cl is not None))
 
 
 def square_triple(triple: PositiveTriple,
@@ -377,31 +371,13 @@ def invert_triple(triple: PositiveTriple,
 
 def _structure(model: SpectrumModel) -> StructuredDecomposition:
     n = normalize_model(model)
-    verdict = classify(n)
-    if not verdict.is_an:
-        raise NotANError(
-            "model is not absolutely norm attaining: " + ", ".join(verdict.violations))
-    alpha = _essential_level(verdict.modulus_collapsed)
-
-    blocks = []
-    kernel = 0
-    for p in n.points:
-        m = abs(p.value)
-        if m <= MERGE_TOL:
-            kernel = kernel + p.mult
-            continue
-        phase = p.value / m
-        if abs(m - alpha) <= MERGE_TOL:
-            blocks.append(Block(phase, "identity", 0.0, p.mult))
-        elif m > alpha:
-            blocks.append(Block(phase, "k", m - alpha, p.mult))
-        else:
-            blocks.append(Block(phase, "f", alpha - m, p.mult))
+    alpha, split = _split(n)
+    blocks = [Block(p.value / abs(p.value), part, value, p.mult)
+              for p, part, value in split if abs(p.value) > MERGE_TOL]
+    kernel = sum(p.mult for p in n.points if abs(p.value) <= MERGE_TOL)
     rank = {"k": 0, "f": 1, "identity": 2}
     blocks.sort(key=lambda b: (rank[b.part], -b.value, b.phase.real, b.phase.imag))
-    cluster_blocks = tuple(ClusterBlock(cl.limit, cl.side, cl.deltas)
-                           for cl in n.clusters)
-    return StructuredDecomposition(alpha, tuple(blocks), cluster_blocks, kernel)
+    return StructuredDecomposition(alpha, tuple(blocks), n.clusters, kernel)
 
 
 def structure_selfadjoint(model: SpectrumModel) -> StructuredDecomposition:
@@ -431,18 +407,11 @@ def gram_spectrum(model: SpectrumModel,
     is preserved (it is decided on the modulus spectrum, and squaring is
     strictly monotone on moduli)."""
     n = normalize_model(model)
-    points = [EigenvalueEntry(complex(abs(p.value) ** 2, 0.0), p.mult)
-              for p in n.points]
-    clusters = []
-    for cl in n.clusters:
-        base = abs(cl.limit) ** 2
-        diffs = [abs(m) ** 2 - base for m in cl.members(depth)]
-        side = ABOVE if diffs[0] > 0 else BELOW
-        mags = descending_prefix(abs(d) for d in diffs)
-        if mags:
-            clusters.append(Cluster(complex(base, 0.0), side, DecaySequence.explicit(
-                mags, terminating=cl.deltas.terminating)))
-    return normalize_model(SpectrumModel(POSITIVE, tuple(points), tuple(clusters)))
+    points = tuple(EigenvalueEntry(complex(abs(p.value) ** 2, 0.0), p.mult)
+                   for p in n.points)
+    mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2, depth) for cl in n.clusters)
+    return normalize_model(SpectrumModel(
+        POSITIVE, points, tuple(cl for cl in mapped if cl is not None)))
 
 
 def adjoint_spectrum(model: SpectrumModel) -> SpectrumModel:
@@ -468,10 +437,7 @@ def imaginary_shift(model: SpectrumModel, lam: float) -> SpectrumModel:
         raise WrongKindError(
             f"imaginary shift needs a self-adjoint model, got {model.kind!r}")
     n = normalize_model(model)
-    verdict = classify(n)
-    if not verdict.is_an:
-        raise NotANError(
-            "model is not absolutely norm attaining: " + ", ".join(verdict.violations))
+    _split(n)  # the NOT_AN gate
     shift = complex(0.0, float(lam))
     points = tuple(EigenvalueEntry(p.value + shift, p.mult) for p in n.points)
     clusters = tuple(Cluster(cl.limit + shift, cl.side, cl.deltas)

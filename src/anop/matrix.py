@@ -31,7 +31,7 @@ from .errors import (
     NotInjectiveError,
     ShapeMismatchError,
 )
-from .model import ABOVE, INF, MERGE_TOL
+from .model import INF, MERGE_TOL
 
 MAX_DIM = 1024
 EIGEN_TOL = 1e-13
@@ -335,11 +335,10 @@ def _round_robin(leftover: int, sinks: int) -> list[int]:
     return counts
 
 
-def _cluster_members(deltas, limit: complex, side: str, take: int):
+def _cluster_members(cl, take: int):
     """First ``take`` cluster members; an explicit sequence shorter than the
     request repeats its last member to stand in for the unexpressed tail."""
-    sign = 1.0 if side == ABOVE else -1.0
-    members = [limit + sign * d for d in deltas.terms(take)]
+    members = list(cl.members(take))
     if members and len(members) < take:
         members += [members[-1]] * (take - len(members))
     return members
@@ -386,24 +385,21 @@ def _realize_slots(sd: StructuredDecomposition, dim: int, slack_identity: bool):
     slots: list[tuple[complex, complex, complex, complex, str]] = []
     for b in k_blocks:
         for _ in range(b.mult):
-            slots.append((b.phase * (alpha + b.value), b.phase * b.value,
-                          0.0, b.phase, "k"))
-    for i, cb in enumerate(sd.cluster_blocks):
-        for m in _cluster_members(cb.deltas, cb.limit, cb.side,
-                                  share.get(("cluster", i), 0)):
+            slots.append((b.eigenvalue(alpha), b.phase * b.value, 0.0, b.phase, "k"))
+    for i, cl in enumerate(sd.cluster_blocks):
+        for m in _cluster_members(cl, share.get(("cluster", i), 0)):
             mag = abs(m)
             phase = m / mag if mag > 0 else 0.0
             slots.append((m, phase * (mag - alpha), 0.0, phase, "cluster"))
     for i, b in enumerate(id_blocks):
         take = b.mult if b.mult != INF else share.get(("identity", i), 0)
         for _ in range(int(take)):
-            slots.append((b.phase * alpha, 0.0, 0.0, b.phase, "identity"))
+            slots.append((b.eigenvalue(alpha), 0.0, 0.0, b.phase, "identity"))
     for _ in range(pad_identity):
         slots.append((alpha, 0.0, 0.0, 1.0, "identity"))
     for b in f_blocks:
         for _ in range(b.mult):
-            slots.append((b.phase * (alpha - b.value), 0.0,
-                          b.phase * b.value, b.phase, "f"))
+            slots.append((b.eigenvalue(alpha), 0.0, b.phase * b.value, b.phase, "f"))
     kern_count = (kern if kern != INF else share.get(("kernel", 0), 0))
     for _ in range(int(kern_count) + pad_kernel):
         slots.append((0.0, 0.0, 0.0, 0.0, "kernel"))

@@ -250,28 +250,36 @@ def descending_prefix(values) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _modulus_cluster(cl: Cluster, depth: int) -> Cluster | None:
-    limit = cl.limit
-    base = abs(limit)
-    if limit.imag == 0.0:
-        r = limit.real
-        if r > 0.0:
-            side = cl.side
-        elif r < 0.0:
-            side = BELOW if cl.side == ABOVE else ABOVE
-        else:
-            side = ABOVE
-        return Cluster(complex(base, 0.0), side, cl.deltas)
-    # genuinely complex limit: member moduli move monotonically but not
-    # linearly, so re-present the deltas explicitly
-    members = cl.members(depth)
-    diffs = [abs(m) - base for m in members]
-    side = ABOVE if diffs[0] > 0 else BELOW
+def mapped_cluster(cl: Cluster, fn, depth: int) -> Cluster | None:
+    """Explicit re-presentation of the image of ``cl`` under ``fn``.
+
+    For maps that move members monotonically but not by a fixed shift: the
+    first ``depth`` members are mapped, their offsets are taken from the
+    image of the limit, the side is read off the first offset, and the
+    longest strictly decreasing prefix of the offset sizes is stored as an
+    explicit sequence.  None when no offset survives the prefix cut.
+    """
+    base = fn(cl.limit)
+    diffs = [fn(m) - base for m in cl.members(depth)]
     mags = descending_prefix(abs(d) for d in diffs)
     if not mags:
         return None
-    return Cluster(complex(base, 0.0), side,
+    return Cluster(complex(base, 0.0), ABOVE if diffs[0] > 0 else BELOW,
                    DecaySequence.explicit(mags, terminating=cl.deltas.terminating))
+
+
+def _modulus_cluster(cl: Cluster, depth: int) -> Cluster | None:
+    limit = cl.limit
+    if limit.imag != 0.0:
+        return mapped_cluster(cl, abs, depth)
+    r = limit.real
+    if r > 0.0:
+        side = cl.side
+    elif r < 0.0:
+        side = BELOW if cl.side == ABOVE else ABOVE
+    else:
+        side = ABOVE
+    return Cluster(complex(abs(limit), 0.0), side, cl.deltas)
 
 
 def modulus_spectrum(model: SpectrumModel,

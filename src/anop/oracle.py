@@ -47,20 +47,15 @@ from .sequences import MERGE_TOL, DecaySequence, close_groups
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """How hard the oracle probes: materialization depth per cluster, the
-    comparison tolerance, and ``subset_cap``, which only sizes the reported
-    ``subsets_checked`` count: the tail check is the classifier's
-    ``LIMIT_FROM_BELOW`` rule and enumerates no subsets."""
+    """How hard the oracle probes: materialization depth per cluster and the
+    comparison tolerance."""
 
     depth: int = 12
-    subset_cap: int = 14
     tol: float = MERGE_TOL
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be at least 2, got {self.depth}")
-        if not 1 <= self.subset_cap <= 22:
-            raise ValueError(f"subset cap {self.subset_cap} out of range 1..22")
         if not 0 < self.tol < 1:
             raise ValueError(f"tolerance {self.tol} out of range")
 
@@ -83,7 +78,11 @@ class OracleReport:
     pairs_checked: int
 
 
-def _subset_scan(attained, unattained, cap: int, tol: float):
+#: most items whose nonempty subsets ``subsets_checked`` counts
+_SUBSET_CAP = 14
+
+
+def _subset_scan(attained, unattained, tol: float):
     """Check sup = max on eigenbasis subsets.
 
     Ground items are attained values (eigenvector directions, supremum
@@ -93,11 +92,12 @@ def _subset_scan(attained, unattained, cap: int, tol: float):
     the failing values are exactly the distinct markers: the classifier's
     ``LIMIT_FROM_BELOW`` rule, with no subset enumerated.  The count is that
     of the nonempty subsets of the markers plus the largest distinct
-    attained values, up to ``cap`` items in all (markers always count).
+    attained values, up to ``_SUBSET_CAP`` items in all (markers always
+    count).
     """
     markers = [g[0] for g in close_groups(unattained, tol)]
     points = len(close_groups(attained, tol))
-    g = len(markers) + min(points, max(cap - len(markers), 0))
+    g = len(markers) + min(points, max(_SUBSET_CAP - len(markers), 0))
     return (1 << g) - 1, markers
 
 
@@ -203,8 +203,7 @@ def attainment_oracle(model: SpectrumModel,
             attained.append(max(mags[0], base))
         essential.append((base, direction, mags))
 
-    subsets, failing_markers = _subset_scan(attained, unattained,
-                                            prof.subset_cap, tol)
+    subsets, failing_markers = _subset_scan(attained, unattained, tol)
     for value in failing_markers:
         failures.append(OracleFailure(
             "unattained_tail", (value,),

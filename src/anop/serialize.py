@@ -19,7 +19,6 @@ import numpy as np
 from .decompose import (
     AMForm,
     Block,
-    ClusterBlock,
     FredholmReport,
     PositiveTriple,
     StructuredDecomposition,
@@ -146,15 +145,15 @@ def _clusters_payload(clusters, kind: str | None) -> list:
              "deltas": deltas_payload(cl.deltas)} for cl in clusters]
 
 
-def _clusters_in(raw_clusters, what: str, make) -> tuple:
-    """Cluster list of a model (``make=Cluster``) or of a structure
-    (``make=ClusterBlock``); ``what`` names the item in field errors."""
+def _clusters_in(raw_clusters, what: str) -> tuple:
+    """Cluster list of a model or of a structure; ``what`` names the item
+    in field errors."""
     out = []
     for rc in raw_clusters:
         side = _require(rc, "side", what)
         if side not in (ABOVE, BELOW):
             raise ParseError(f"cluster side must be above/below, got {side!r}")
-        out.append(make(
+        out.append(Cluster(
             _value_in(_require(rc, "limit", what), "cluster limit"),
             side,
             parse_deltas(_require(rc, "deltas", what))))
@@ -184,7 +183,7 @@ def parse_model(obj) -> SpectrumModel:
             _value_in(_require(rp, "value", "point"), "point value"),
             _mult_in(_require(rp, "mult", "point"), "point multiplicity")))
     return SpectrumModel(kind, tuple(points),
-                         _clusters_in(raw_clusters, "cluster", Cluster))
+                         _clusters_in(raw_clusters, "cluster"))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +211,7 @@ def triple_payload(triple: PositiveTriple) -> dict:
         "alpha": _scrub(triple.alpha),
         "k": model_payload(triple.k_entries),
         "f": _entries_payload(triple.f_entries),
-        "identity_multiplicity": _mult_out(triple.identity_multiplicity)
-        if triple.identity_multiplicity else 0,
+        "identity_multiplicity": _mult_out(triple.identity_multiplicity),
     }
 
 
@@ -231,8 +229,7 @@ def amform_payload(form: AMForm) -> dict:
         "beta": _scrub(form.beta),
         "k1": model_payload(form.k1_entries),
         "f1": _entries_payload(form.f1_entries),
-        "identity_multiplicity": _mult_out(form.identity_multiplicity)
-        if form.identity_multiplicity else 0,
+        "identity_multiplicity": _mult_out(form.identity_multiplicity),
     }
 
 
@@ -244,8 +241,7 @@ def structure_payload(sd: StructuredDecomposition) -> dict:
                     "value": _scrub(b.value),
                     "mult": _mult_out(b.mult)} for b in sd.blocks],
         "clusters": _clusters_payload(sd.cluster_blocks, None),
-        "kernel_multiplicity": _mult_out(sd.kernel_multiplicity)
-        if sd.kernel_multiplicity else 0,
+        "kernel_multiplicity": _mult_out(sd.kernel_multiplicity),
     }
 
 
@@ -265,9 +261,9 @@ def parse_structure(obj) -> StructuredDecomposition:
             part,
             _number_in(_require(rb, "value", "block"), "block value"),
             _mult_in(_require(rb, "mult", "block"), "block multiplicity")))
-    cluster_blocks = _clusters_in(raw_clusters, "cluster block", ClusterBlock)
+    clusters = _clusters_in(raw_clusters, "cluster block")
     kern = _mult_in(obj.get("kernel_multiplicity", 0), "kernel multiplicity")
-    return StructuredDecomposition(alpha, tuple(blocks), cluster_blocks, kern)
+    return StructuredDecomposition(alpha, tuple(blocks), clusters, kern)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +314,7 @@ def verdict_payload(verdict: ANVerdict, moduli: ModuliReport) -> dict:
 
 def fredholm_payload(report: FredholmReport) -> dict:
     return {
-        "kernel_dimension": _mult_out(report.kernel_dimension)
-        if report.kernel_dimension else 0,
+        "kernel_dimension": _mult_out(report.kernel_dimension),
         "range_closed": report.range_closed,
         "is_fredholm": report.is_fredholm,
         "is_left_semi_fredholm": report.is_left_semi_fredholm,

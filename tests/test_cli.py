@@ -152,6 +152,7 @@ BAD_TOL_ARGV = [
     ["oracle", "positive_tail.json", "--depth", "1"],
     ["fuzz", "--count", "1", "--tol", "0"],
     ["fuzz", "--count", "1", "--depth", "1"],
+    ["fuzz", "--count", "-1"],
     ["verify", "positive_tail.json", "--dim", "8", "--tol", "-1"],
 ]
 

@@ -99,7 +99,7 @@ def test_oracle_accepts_matched_cluster_and_infinite_value():
 
 
 def test_oracle_depth_controls_probing():
-    prof = TruncationProfile(depth=6, subset_cap=10, tol=1e-9)
+    prof = TruncationProfile(depth=6, tol=1e-9)
     m = positive_points((1.0, INF), (2.0, INF))
     assert not attainment_oracle(m, prof).is_an
 
@@ -107,8 +107,6 @@ def test_oracle_depth_controls_probing():
 def test_truncation_profile_validation():
     with pytest.raises(ValueError):
         TruncationProfile(depth=1)
-    with pytest.raises(ValueError):
-        TruncationProfile(subset_cap=0)
     with pytest.raises(ValueError):
         TruncationProfile(tol=2.0)
 
