@@ -16,7 +16,7 @@ from anop.decompose import (
     structure_selfadjoint,
 )
 from anop.errors import DimTooSmallError
-from anop.matrix import converse_witness, realize_matrix, verify_structure
+from anop.matrix import CHECK_TOL, converse_witness, realize_matrix, verify_structure
 from anop.oracle import FAMILIES, generate_model
 
 
@@ -35,7 +35,7 @@ def main(argv=None):
     parser.add_argument("--max-dim", type=int, default=64,
                         help="largest realization dimension")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=float, default=CHECK_TOL,
                         help="verification tolerance")
     args = parser.parse_args(argv)
 

@@ -39,13 +39,15 @@ from .decompose import (
 )
 from .errors import AnopError, ParseError
 from .matrix import (
+    CHECK_TOL,
+    POLAR_TOL,
     block_form,
     inverse_via_blocks,
     polar_decompose,
     realize_matrix,
     verify_structure,
 )
-from .model import MERGE_TOL, POSITIVE, classify, moduli_report, normalize_model
+from .model import MERGE_TOL, POSITIVE, classify, moduli_report
 from .oracle import (
     FAMILIES,
     TruncationProfile,
@@ -222,8 +224,8 @@ def _fro(m) -> float:
 
 
 def _cmd_classify(args):
-    n = normalize_model(_model_in(args))
-    return sz.verdict_payload(classify(n), moduli_report(n))
+    model = _model_in(args)
+    return sz.verdict_payload(classify(model), moduli_report(model))
 
 
 def _cmd_decompose(args):
@@ -274,7 +276,7 @@ def _cmd_realize(args):
     }
     if args.verify:
         report = verify_structure(ro.matrix, ro.compact, ro.finite,
-                                  ro.isometry, ro.alpha, _tol(args, 1e-10))
+                                  ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
         result["verification"] = sz.verification_payload(report)
     return result
 
@@ -282,7 +284,7 @@ def _cmd_realize(args):
 def _cmd_verify(args):
     ro = realize_matrix(_decomposition_in(args), args.dim, args.seed)
     report = verify_structure(ro.matrix, ro.compact, ro.finite,
-                              ro.isometry, ro.alpha, _tol(args, 1e-10))
+                              ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
     out = sz.verification_payload(report)
     out["dim"] = args.dim
     out["seed"] = args.seed
@@ -294,7 +296,7 @@ def _cmd_blocks(args):
     splitter = ro.finite
     if args.splitter == "gram":
         splitter = ro.finite.conj().T @ ro.finite
-    bf = block_form(ro.matrix, splitter, _tol(args, 1e-10))
+    bf = block_form(ro.matrix, splitter, _tol(args, CHECK_TOL))
     return {
         "splitter": args.splitter,
         "range_dim": bf.range_dim,
@@ -307,7 +309,7 @@ def _cmd_blocks(args):
 
 def _cmd_invert_matrix(args):
     ro = realize_matrix(_positive_triple_in(args), args.dim, args.seed)
-    inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, 1e-10))
+    inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, CHECK_TOL))
     residual = _fro(ro.matrix @ inv - np.eye(args.dim)) / math.sqrt(args.dim)
     return {
         "dim": args.dim,
@@ -321,7 +323,7 @@ def _cmd_polar(args):
     data = _load(args)
     raw = data.get("matrix") if isinstance(data, dict) else data
     m = sz.parse_matrix(raw)
-    pair = polar_decompose(m, _tol(args, 1e-12))
+    pair = polar_decompose(m, _tol(args, POLAR_TOL))
     residual = _fro(m - pair.isometry @ pair.modulus) / max(_fro(m), 1.0)
     return {
         "residual": sz._scrub(residual),

@@ -38,7 +38,6 @@ from .model import (
     classify,
     _declared_positive_negative,
     mapped_cluster,
-    normalize_model,
 )
 from .sequences import MATERIALIZE_DEPTH, close_groups
 
@@ -56,8 +55,7 @@ def _merged_finite_entries(entries, upper: float | None, what: str):
     """Validate, merge and sort real finite-multiplicity entries."""
     items = []
     for e in entries:
-        value = complex(e.value) if not isinstance(e, tuple) else complex(e[0])
-        mult = e.mult if not isinstance(e, tuple) else e[1]
+        value, mult = complex(e.value), e.mult
         if abs(value.imag) > 0:
             raise MalformedModelError(f"{what} values must be real")
         v = value.real
@@ -98,7 +96,7 @@ class PositiveTriple:
             raise MalformedModelError(f"alpha must be finite and >= 0, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
-        k = normalize_model(self.k_entries)
+        k = self.k_entries
         if k.kind != POSITIVE:
             raise MalformedModelError("k_entries must be a positive model")
         for p in k.points:
@@ -206,18 +204,20 @@ class StructuredDecomposition:
 @dataclass(frozen=True)
 class AMForm:
     """Inverse presentation ``T**-1 = beta*I - K1 + F1`` with
-    ``beta = 1/alpha``; entries stay support-paired with the source triple."""
+    ``beta = 1/alpha``; support-paired with the source triple, each entry and
+    cluster is the image of one source entry or cluster, never merged."""
 
     beta: float
-    k1_entries: SpectrumModel
+    k1_entries: tuple[EigenvalueEntry, ...]
+    k1_clusters: tuple[Cluster, ...]
     f1_entries: tuple[EigenvalueEntry, ...]
     identity_multiplicity: float
 
     def eigenvalues(self, depth: int):
         out = []
-        for p in self.k1_entries.points:
+        for p in self.k1_entries:
             out.append((self.beta - p.value.real, p.mult))
-        for cl in self.k1_entries.clusters:
+        for cl in self.k1_clusters:
             out.extend((self.beta - d, 1) for d in cl.deltas.terms(depth))
         for e in self.f1_entries:
             out.append((self.beta + e.value.real, e.mult))
@@ -244,7 +244,7 @@ class FredholmReport:
 
 
 def _split(n: SpectrumModel):
-    """The split at alpha behind every decomposition, for a normalized model.
+    """The split at alpha behind every decomposition.
 
     A model that is not AN raises :class:`NotANError`.  ``alpha`` is the
     least essential modulus (cluster limits and infinite multiplicities), 0
@@ -275,18 +275,18 @@ def _split(n: SpectrumModel):
 
 def decompose_positive(model: SpectrumModel) -> PositiveTriple:
     """Split a positive AN model into its canonical triple."""
-    n = normalize_model(model)
-    if n.kind != POSITIVE:
-        raise WrongKindError(f"decomposition needs a positive model, got kind {n.kind!r}")
-    if _declared_positive_negative(n):
+    if model.kind != POSITIVE:
+        raise WrongKindError(
+            f"decomposition needs a positive model, got kind {model.kind!r}")
+    if _declared_positive_negative(model):
         raise NegativeValueError("model declares negative spectral values")
-    alpha, split = _split(n)
+    alpha, split = _split(model)
     k_points = tuple(EigenvalueEntry(complex(v, 0.0), p.mult)
                      for p, part, v in split if part == "k")
     f_entries = tuple(EigenvalueEntry(complex(v, 0.0), p.mult)
                       for p, part, v in split if part == "f")
     identity = sum(p.mult for p, part, _ in split if part == "identity")
-    k_clusters = tuple(Cluster(0j, ABOVE, cl.deltas) for cl in n.clusters)
+    k_clusters = tuple(Cluster(0j, ABOVE, cl.deltas) for cl in model.clusters)
     return PositiveTriple(alpha, SpectrumModel(POSITIVE, k_points, k_clusters),
                           f_entries, identity)
 
@@ -304,19 +304,20 @@ def recompose(triple: PositiveTriple) -> SpectrumModel:
                                       triple.identity_multiplicity))
     clusters = tuple(Cluster(complex(triple.alpha, 0.0), ABOVE, cl.deltas)
                      for cl in triple.k_entries.clusters)
-    return normalize_model(SpectrumModel(POSITIVE, tuple(points), clusters))
+    return SpectrumModel(POSITIVE, tuple(points), clusters)
 
 
 # ---------------------------------------------------------------------------
 # triple maps
 
 
-def _map_k_model(k: SpectrumModel, fn, depth: int) -> SpectrumModel:
-    """Apply a strictly increasing map fixing zero to the compact part."""
+def _map_k_model(k: SpectrumModel, fn, depth: int):
+    """Apply a strictly increasing map fixing zero to the compact part:
+    ``(points, clusters)``, one image per source entry, unmerged."""
     points = tuple(EigenvalueEntry(complex(fn(p.value.real), 0.0), p.mult)
                    for p in k.points)
     mapped = (mapped_cluster(cl, lambda z: fn(z.real), depth) for cl in k.clusters)
-    return SpectrumModel(POSITIVE, points, tuple(cl for cl in mapped if cl is not None))
+    return points, tuple(cl for cl in mapped if cl is not None)
 
 
 def square_triple(triple: PositiveTriple,
@@ -329,7 +330,8 @@ def square_triple(triple: PositiveTriple,
     f = tuple(EigenvalueEntry(complex(2.0 * a * e.value.real - e.value.real ** 2, 0.0),
                               e.mult)
               for e in triple.f_entries)
-    return PositiveTriple(a * a, k, f, triple.identity_multiplicity)
+    return PositiveTriple(a * a, SpectrumModel(POSITIVE, *k), f,
+                          triple.identity_multiplicity)
 
 
 def sqrt_triple(triple: PositiveTriple,
@@ -344,7 +346,8 @@ def sqrt_triple(triple: PositiveTriple,
     f = tuple(EigenvalueEntry(
         complex(root - math.sqrt(max(a - e.value.real, 0.0)), 0.0), e.mult)
         for e in triple.f_entries)
-    return PositiveTriple(root, k, f, triple.identity_multiplicity)
+    return PositiveTriple(root, SpectrumModel(POSITIVE, *k), f,
+                          triple.identity_multiplicity)
 
 
 def invert_triple(triple: PositiveTriple,
@@ -358,11 +361,12 @@ def invert_triple(triple: PositiveTriple,
     if not triple.is_injective():
         raise NotInjectiveError("finite-rank part reaches alpha: kernel is nontrivial")
     beta = 1.0 / a
-    k1 = _map_k_model(triple.k_entries, lambda x: x / (a * (x + a)), depth)
+    k1, k1_clusters = _map_k_model(triple.k_entries,
+                                   lambda x: x / (a * (x + a)), depth)
     f1 = tuple(EigenvalueEntry(
         complex(e.value.real / (a * (a - e.value.real)), 0.0), e.mult)
         for e in triple.f_entries)
-    return AMForm(beta, k1, f1, triple.identity_multiplicity)
+    return AMForm(beta, k1, k1_clusters, f1, triple.identity_multiplicity)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +374,13 @@ def invert_triple(triple: PositiveTriple,
 
 
 def _structure(model: SpectrumModel) -> StructuredDecomposition:
-    n = normalize_model(model)
-    alpha, split = _split(n)
+    alpha, split = _split(model)
     blocks = [Block(p.value / abs(p.value), part, value, p.mult)
               for p, part, value in split if abs(p.value) > MERGE_TOL]
-    kernel = sum(p.mult for p in n.points if abs(p.value) <= MERGE_TOL)
+    kernel = sum(p.mult for p in model.points if abs(p.value) <= MERGE_TOL)
     rank = {"k": 0, "f": 1, "identity": 2}
     blocks.sort(key=lambda b: (rank[b.part], -b.value, b.phase.real, b.phase.imag))
-    return StructuredDecomposition(alpha, tuple(blocks), n.clusters, kernel)
+    return StructuredDecomposition(alpha, tuple(blocks), model.clusters, kernel)
 
 
 def structure_selfadjoint(model: SpectrumModel) -> StructuredDecomposition:
@@ -391,9 +394,7 @@ def structure_selfadjoint(model: SpectrumModel) -> StructuredDecomposition:
 
 def structure_normal(model: SpectrumModel) -> StructuredDecomposition:
     """As :func:`structure_selfadjoint` with unit-complex phases
-    ``value / |value|`` per eigenvalue."""
-    if model.kind not in (NORMAL, SELF_ADJOINT, POSITIVE):
-        raise WrongKindError(f"unknown model kind {model.kind!r}")
+    ``value / |value|`` per eigenvalue; every kind qualifies."""
     return _structure(model)
 
 
@@ -406,23 +407,20 @@ def gram_spectrum(model: SpectrumModel,
     """Positive model of ``T*T``: values squared in modulus.  AN membership
     is preserved (it is decided on the modulus spectrum, and squaring is
     strictly monotone on moduli)."""
-    n = normalize_model(model)
     points = tuple(EigenvalueEntry(complex(abs(p.value) ** 2, 0.0), p.mult)
-                   for p in n.points)
-    mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2, depth) for cl in n.clusters)
-    return normalize_model(SpectrumModel(
-        POSITIVE, points, tuple(cl for cl in mapped if cl is not None)))
+                   for p in model.points)
+    mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2, depth) for cl in model.clusters)
+    return SpectrumModel(POSITIVE, points, tuple(cl for cl in mapped if cl is not None))
 
 
 def adjoint_spectrum(model: SpectrumModel) -> SpectrumModel:
     """Spectrum of the adjoint: conjugated values; real kinds pass through."""
-    n = normalize_model(model)
-    if n.kind in (POSITIVE, SELF_ADJOINT):
-        return n
-    points = tuple(EigenvalueEntry(p.value.conjugate(), p.mult) for p in n.points)
+    if model.kind in (POSITIVE, SELF_ADJOINT):
+        return model
+    points = tuple(EigenvalueEntry(p.value.conjugate(), p.mult) for p in model.points)
     clusters = tuple(Cluster(cl.limit.conjugate(), cl.side, cl.deltas)
-                     for cl in n.clusters)
-    return normalize_model(SpectrumModel(NORMAL, points, clusters))
+                     for cl in model.clusters)
+    return SpectrumModel(NORMAL, points, clusters)
 
 
 def imaginary_shift(model: SpectrumModel, lam: float) -> SpectrumModel:
@@ -436,13 +434,12 @@ def imaginary_shift(model: SpectrumModel, lam: float) -> SpectrumModel:
     if model.kind not in (SELF_ADJOINT, POSITIVE):
         raise WrongKindError(
             f"imaginary shift needs a self-adjoint model, got {model.kind!r}")
-    n = normalize_model(model)
-    _split(n)  # the NOT_AN gate
+    _split(model)  # the NOT_AN gate
     shift = complex(0.0, float(lam))
-    points = tuple(EigenvalueEntry(p.value + shift, p.mult) for p in n.points)
+    points = tuple(EigenvalueEntry(p.value + shift, p.mult) for p in model.points)
     clusters = tuple(Cluster(cl.limit + shift, cl.side, cl.deltas)
-                     for cl in n.clusters)
-    return normalize_model(SpectrumModel(NORMAL, points, clusters))
+                     for cl in model.clusters)
+    return SpectrumModel(NORMAL, points, clusters)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from .model import INF, MERGE_TOL
 MAX_DIM = 1024
 EIGEN_TOL = 1e-13
 MAX_SWEEPS = 100
+CHECK_TOL = 1e-10
+POLAR_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -232,7 +234,7 @@ def hermitian_eigen(a, tol: float = EIGEN_TOL,
     return EigenDecomposition(values[order], basis[:, order], int(sweeps))
 
 
-def polar_decompose(a, tol: float = 1e-12) -> PolarPair:
+def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
     """Polar factorization ``T = V|T|`` with V a partial isometry that is
     zero on the kernel of T (so V*V is the range projection of ``|T|``)."""
     t = _as_square(a, "polar input")
@@ -451,7 +453,7 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
 # structural verification
 
 
-def block_form(a, splitter, tol: float = 1e-10) -> BlockForm:
+def block_form(a, splitter, tol: float = CHECK_TOL) -> BlockForm:
     """Compress ``a`` onto range/kernel of a Hermitian splitter.
 
     The basis puts range eigenvectors first.  The off-diagonal norm is the
@@ -484,7 +486,7 @@ def _block_form(t, eig: EigenDecomposition, tol: float) -> BlockForm:
     return BlockForm(b[:r, :r], b[r:, r:], off, r, t.shape[0] - r, basis)
 
 
-def inverse_via_blocks(k, f, alpha: float, tol: float = 1e-10) -> np.ndarray:
+def inverse_via_blocks(k, f, alpha: float, tol: float = CHECK_TOL) -> np.ndarray:
     """Inverse of ``T = K - F + alpha*I`` assembled blockwise.
 
     On the kernel of F the inverse is
@@ -526,7 +528,7 @@ def inverse_via_blocks(k, f, alpha: float, tol: float = 1e-10) -> np.ndarray:
 
 
 def converse_witness(k, f, v, alpha: float, t=None,
-                     tol: float = 1e-10) -> WitnessReport:
+                     tol: float = CHECK_TOL) -> WitnessReport:
     """Check the witness identity behind the converse direction.
 
     With ``T = K - F + alpha*V``, expanding ``T*T`` gives
@@ -569,7 +571,7 @@ def converse_witness(k, f, v, alpha: float, t=None,
 
 
 def verify_structure(t, k, f, v, alpha: float,
-                     tol: float = 1e-10) -> VerificationReport:
+                     tol: float = CHECK_TOL) -> VerificationReport:
     """Numerically verify ``T = K - F + alpha*V`` with all side conditions.
 
     Positive mode (V numerically the identity) checks K, F Hermitian

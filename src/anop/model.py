@@ -2,7 +2,8 @@
 
 A :class:`SpectrumModel` describes the spectrum of a bounded operator on a
 separable Hilbert space by a finite list of eigenvalue entries plus a finite
-list of accumulation clusters.  The classifier decides membership in the
+list of accumulation clusters, in the normal form it builds for itself.
+The classifier decides membership in the
 class of absolutely norm-attaining operators: the restriction of the
 operator to every nonzero closed subspace attains its norm.  For positive
 (and, via the modulus reduction, self-adjoint and normal) operators this is
@@ -101,32 +102,6 @@ class Cluster:
         return tuple(self.limit + sign * d for d in self.deltas.terms(depth))
 
 
-@dataclass(frozen=True)
-class SpectrumModel:
-    kind: str
-    points: tuple[EigenvalueEntry, ...] = ()
-    clusters: tuple[Cluster, ...] = ()
-
-
-@dataclass(frozen=True)
-class ANVerdict:
-    """Classifier output: membership flag, violation codes, and the positive
-    modulus spectrum the decision was made on."""
-
-    is_an: bool
-    violations: tuple[str, ...]
-    modulus_collapsed: SpectrumModel
-
-
-@dataclass(frozen=True)
-class ModuliReport:
-    operator_norm: float
-    min_modulus: float
-    essential_min_modulus: float
-    norm_attained: bool
-    finite_dim: bool
-
-
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -154,53 +129,81 @@ def _sort_key(v: complex):
     return (v.real, v.imag)
 
 
-def normalize_model(model: SpectrumModel) -> SpectrumModel:
-    """Canonical form: validated, merged, sorted; idempotent.
+@dataclass(frozen=True)
+class SpectrumModel:
+    """A spectrum in normal form, which it builds for itself: validated,
+    terminating clusters (finitely many eigenvalues) expanded into points,
+    points and same-side clusters merged by :func:`close_groups`, and both
+    sorted.  Every cluster marks a genuine limit point, and a model rebuilt
+    from its own fields is equal to it."""
 
-    Terminating explicit clusters denote finitely many eigenvalues, so they
-    are expanded into point entries here; every cluster surviving
-    normalization marks a genuine limit point.
-    """
-    if model.kind not in KINDS:
-        raise MalformedModelError(f"unknown model kind {model.kind!r}")
+    kind: str
+    points: tuple[EigenvalueEntry, ...] = ()
+    clusters: tuple[Cluster, ...] = ()
 
-    point_items = []
-    for p in model.points:
-        point_items.append((_as_value(p.value, model.kind), _as_mult(p.mult)))
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise MalformedModelError(f"unknown model kind {self.kind!r}")
 
-    survivors = []
-    for cl in model.clusters:
-        cl = _validate_cluster(cl, model.kind)
-        if cl.deltas.terminating:
-            sign = 1.0 if cl.side == ABOVE else -1.0
-            for d in cl.deltas.terms_:
-                point_items.append((cl.limit + sign * d, 1))
-        else:
-            survivors.append(cl)
+        point_items = [(_as_value(p.value, self.kind), _as_mult(p.mult))
+                       for p in self.points]
 
-    # each group of one value keeps its smallest and sums multiplicities
-    merged_points = tuple(
-        EigenvalueEntry(g[0][0], sum(m for _, m in g))
-        for g in close_groups(point_items, key=lambda it: it[0]))
+        survivors = []
+        for cl in self.clusters:
+            cl = _validate_cluster(cl, self.kind)
+            if cl.deltas.terminating:
+                sign = 1.0 if cl.side == ABOVE else -1.0
+                for d in cl.deltas.terms_:
+                    point_items.append((cl.limit + sign * d, 1))
+            else:
+                survivors.append(cl)
 
-    # merge clusters sharing a (limit, side) slot
-    slots: dict[tuple, list[Cluster]] = {}
-    for group in close_groups(survivors, key=lambda cl: cl.limit):
-        for cl in group:
-            slots.setdefault((_sort_key(group[0].limit), cl.side), []).append(cl)
-    merged_clusters = []
-    for (limit_key, side), group in slots.items():
-        limit = complex(*limit_key)
-        if len(group) == 1 and abs(group[0].limit - limit) == 0.0:
-            merged_clusters.append(group[0])
-        elif len(group) == 1:
-            merged_clusters.append(Cluster(limit, side, group[0].deltas))
-        else:
+        # each group of one value keeps its smallest and sums multiplicities
+        merged_points = tuple(
+            EigenvalueEntry(g[0][0], sum(m for _, m in g))
+            for g in close_groups(point_items, key=lambda it: it[0]))
+
+        # merge clusters sharing a (limit, side) slot
+        slots: dict[tuple, list[Cluster]] = {}
+        for group in close_groups(survivors, key=lambda cl: cl.limit):
+            for cl in group:
+                slots.setdefault((_sort_key(group[0].limit), cl.side), []).append(cl)
+        merged_clusters = []
+        for (limit_key, side), group in slots.items():
+            deltas = (group[0].deltas if len(group) == 1
+                      else merge_sequences([g.deltas for g in group]))
+            # checked again where it now sits: at its group's least limit
             merged_clusters.append(
-                Cluster(limit, side, merge_sequences([g.deltas for g in group])))
-    merged_clusters.sort(key=lambda c: (_sort_key(c.limit), c.side))
+                _validate_cluster(Cluster(complex(*limit_key), side, deltas), self.kind))
+        merged_clusters.sort(key=lambda c: (_sort_key(c.limit), c.side))
 
-    return SpectrumModel(model.kind, merged_points, tuple(merged_clusters))
+        object.__setattr__(self, "points", merged_points)
+        object.__setattr__(self, "clusters", tuple(merged_clusters))
+
+
+@dataclass(frozen=True)
+class ANVerdict:
+    """Classifier output: membership flag, violation codes, and the positive
+    modulus spectrum the decision was made on."""
+
+    is_an: bool
+    violations: tuple[str, ...]
+    modulus_collapsed: SpectrumModel
+
+
+@dataclass(frozen=True)
+class ModuliReport:
+    operator_norm: float
+    min_modulus: float
+    essential_min_modulus: float
+    norm_attained: bool
+    finite_dim: bool
+
+
+def normalize_model(model: SpectrumModel) -> SpectrumModel:
+    """The model itself: every :class:`SpectrumModel` is normalized when
+    built.  The name stays for the benchmark workloads and tracer."""
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +212,9 @@ def normalize_model(model: SpectrumModel) -> SpectrumModel:
 
 def total_multiplicity(model: SpectrumModel) -> float:
     """Hilbert-space dimension the model spans (may be ``inf``)."""
-    total = 0.0
-    for p in model.points:
-        total += p.mult
-    for cl in model.clusters:
-        total += cl.deltas.term_count()
-    return total
+    if model.clusters:
+        return INF
+    return float(sum(p.mult for p in model.points))
 
 
 def is_finite_dimensional(model: SpectrumModel) -> bool:
@@ -285,14 +285,13 @@ def _modulus_cluster(cl: Cluster, depth: int) -> Cluster | None:
 def modulus_spectrum(model: SpectrumModel,
                      depth: int = MATERIALIZE_DEPTH) -> SpectrumModel:
     """Positive model of ``|T|``: values replaced by moduli and merged."""
-    n = normalize_model(model)
-    points = [EigenvalueEntry(complex(abs(p.value), 0.0), p.mult) for p in n.points]
+    points = [EigenvalueEntry(complex(abs(p.value), 0.0), p.mult) for p in model.points]
     clusters = []
-    for cl in n.clusters:
+    for cl in model.clusters:
         mapped = _modulus_cluster(cl, depth)
         if mapped is not None:
             clusters.append(mapped)
-    return normalize_model(SpectrumModel(POSITIVE, tuple(points), tuple(clusters)))
+    return SpectrumModel(POSITIVE, tuple(points), tuple(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +321,10 @@ def classify(model: SpectrumModel) -> ANVerdict:
     Cluster limits and infinite-multiplicity values joined by a chain of
     steps within ``MERGE_TOL`` are one essential value.
     """
-    n = normalize_model(model)
-    mod = modulus_spectrum(n)
+    mod = modulus_spectrum(model)
     found = set()
 
-    if _declared_positive_negative(n):
+    if _declared_positive_negative(model):
         found.add(NEGATIVE_VALUE)
 
     if not is_finite_dimensional(mod):

@@ -40,7 +40,6 @@ from .model import (
     Cluster,
     EigenvalueEntry,
     SpectrumModel,
-    normalize_model,
 )
 from .sequences import MERGE_TOL, DecaySequence, close_groups
 
@@ -164,16 +163,15 @@ def attainment_oracle(model: SpectrumModel,
     """
     prof = profile or TruncationProfile()
     tol = prof.tol
-    n = normalize_model(model)
     failures: list[OracleFailure] = []
 
-    if n.kind == POSITIVE:
-        for p in n.points:
+    if model.kind == POSITIVE:
+        for p in model.points:
             if p.value.real < -tol:
                 failures.append(OracleFailure(
                     "declared_negative", (p.value.real,),
                     f"declared positive but carries eigenvalue {p.value.real}"))
-        for cl in n.clusters:
+        for cl in model.clusters:
             head = min(m.real for m in cl.members(prof.depth))
             if head < -tol:
                 failures.append(OracleFailure(
@@ -181,13 +179,13 @@ def attainment_oracle(model: SpectrumModel,
                     f"declared positive but cluster member reaches {head}"))
 
     deep = max(prof.depth, 48)
-    attained = [abs(p.value) for p in n.points]
+    attained = [abs(p.value) for p in model.points]
     unattained: list[float] = []
     essential = []  # (base modulus, direction, member moduli or None)
-    for p in n.points:
+    for p in model.points:
         if p.is_infinite():
             essential.append((abs(p.value), "flat", None))
-    for cl in n.clusters:
+    for cl in model.clusters:
         mags = [abs(m) for m in cl.members(deep)]
         base = abs(cl.limit)
         attained.extend(mags[: prof.depth])
@@ -376,7 +374,7 @@ def _gen_positive(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
             below = _grid_values(rng, prof, rng.randint(1, 2), 1, alpha_steps)
             for v in below:
                 points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
-    return normalize_model(SpectrumModel(POSITIVE, tuple(points), tuple(clusters)))
+    return SpectrumModel(POSITIVE, tuple(points), tuple(clusters))
 
 
 def _gen_selfadjoint(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
@@ -403,7 +401,7 @@ def _gen_selfadjoint(rng: random.Random, prof: GeneratorProfile) -> SpectrumMode
         points.append(EigenvalueEntry(complex(sign * v, 0), rng.randint(1, prof.max_mult)))
     if rng.random() < 0.3:
         points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
-    return normalize_model(SpectrumModel(SELF_ADJOINT, tuple(points), tuple(clusters)))
+    return SpectrumModel(SELF_ADJOINT, tuple(points), tuple(clusters))
 
 
 _PHASES = tuple(complex(math.cos(k * math.pi / 6.0), math.sin(k * math.pi / 6.0))
@@ -431,7 +429,7 @@ def _gen_normal(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
                                       rng.randint(1, prof.max_mult)))
     if rng.random() < 0.2:
         points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
-    return normalize_model(SpectrumModel(NORMAL, tuple(points), tuple(clusters)))
+    return SpectrumModel(NORMAL, tuple(points), tuple(clusters))
 
 
 def generate_model(seed: int, family: str,
@@ -463,7 +461,7 @@ def _maybe_sign_flip(rng: random.Random, model: SpectrumModel) -> SpectrumModel:
             clusters.append(Cluster(-cl.limit, flipped, cl.deltas))
         else:
             clusters.append(cl)
-    return normalize_model(SpectrumModel(SELF_ADJOINT, points, tuple(clusters)))
+    return SpectrumModel(SELF_ADJOINT, points, tuple(clusters))
 
 
 FAMILY_CYCLE = (
@@ -504,7 +502,7 @@ def generate_violator(seed: int, code: str,
         neg = -rng.randint(1, 8) * prof.spacing
         points.append(EigenvalueEntry(complex(neg, 0), rng.randint(1, prof.max_mult)))
         points.append(EigenvalueEntry(complex(rng.randint(2, 6) * prof.spacing * 2, 0), INF))
-        return normalize_model(SpectrumModel(POSITIVE, tuple(points), ()))
+        return SpectrumModel(POSITIVE, tuple(points), ())
     if code == MULTIPLE_LIMIT_POINTS:
         lo, hi = _grid_values(rng, prof, 2, 2, 14)
         if hi - lo < 2 * prof.spacing:
@@ -535,5 +533,4 @@ def generate_violator(seed: int, code: str,
     if rng.random() < 0.5:
         for v in _grid_values(rng, prof, rng.randint(1, 2), 15, 24):
             points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
-    model = SpectrumModel(POSITIVE, tuple(points), tuple(clusters))
-    return _maybe_sign_flip(rng, normalize_model(model))
+    return _maybe_sign_flip(rng, SpectrumModel(POSITIVE, tuple(points), tuple(clusters)))

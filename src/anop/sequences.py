@@ -18,7 +18,7 @@ to zero; violations raise :class:`~anop.errors.MalformedModelError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedModelError
 

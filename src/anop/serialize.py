@@ -30,6 +30,7 @@ from .model import (
     INF,
     KINDS,
     NORMAL,
+    POSITIVE,
     Cluster,
     EigenvalueEntry,
     ModuliReport,
@@ -217,17 +218,19 @@ def triple_payload(triple: PositiveTriple) -> dict:
 
 def parse_triple(obj) -> PositiveTriple:
     alpha = _number_in(_require(obj, "alpha", "triple"), "alpha")
-    k = parse_model(_require(obj, "k", "triple"))
+    k = _require(obj, "k", "triple")
     f = _entries_in(obj.get("f", []), "finite-rank entry")
     ident_raw = obj.get("identity_multiplicity", 0)
     ident = _mult_in(ident_raw, "identity multiplicity")
-    return PositiveTriple(alpha, k, f, ident)
+    # the model is built, and so checked, once the whole document has parsed
+    return PositiveTriple(alpha, parse_model(k), f, ident)
 
 
 def amform_payload(form: AMForm) -> dict:
     return {
         "beta": _scrub(form.beta),
-        "k1": model_payload(form.k1_entries),
+        "k1": {"kind": POSITIVE, "points": _entries_payload(form.k1_entries),
+               "clusters": _clusters_payload(form.k1_clusters, POSITIVE)},
         "f1": _entries_payload(form.f1_entries),
         "identity_multiplicity": _mult_out(form.identity_multiplicity),
     }

@@ -151,8 +151,8 @@ def test_05_inverse_reciprocity():
         for lam in original:
             if min(abs(1.0 / lam - w) / max(1.0, abs(w)) for w in inverse) > 1e-12:
                 ok = False
-        bound = [p.value.real for p in form.k1_entries.points]
-        for cl in form.k1_entries.clusters:
+        bound = [p.value.real for p in form.k1_entries]
+        for cl in form.k1_clusters:
             bound.extend(cl.deltas.terms(48))
         if any(v > form.beta + 1e-12 for v in bound):
             ok = False

@@ -217,6 +217,25 @@ def test_fredholm_reads_model_or_triple(monkeypatch):
     assert env["result"] is None
 
 
+def test_shift_reports_a_malformed_normal_model_as_malformed(monkeypatch):
+    # the model is checked when it is read, before shift looks at its kind
+    doc = '{"kind":"normal","points":[{"value":[1,0],"mult":0}]}'
+    code, out, _ = run_cli(["shift", "-", "--shift", "0.5"], stdin_text=doc,
+                           monkeypatch=monkeypatch)
+    assert code == 2
+    env = json.loads(out)
+    assert env["diagnostics"][0]["code"] == "MALFORMED"
+    assert env["result"] is None
+
+
+def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):
+    doc = ('{"alpha":1.0,"k":{"kind":"positive","points":[{"value":2.0,"mult":0}]},'
+           '"f":"not a list"}')
+    code, out, _ = run_cli(["square", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["code"] == "PARSE"
+
+
 def test_invert_matrix_reads_model_or_triple(monkeypatch):
     src = str(SPECS / "uniqueness_full.json")
     argv = ["--dim", "12", "--seed", "5"]

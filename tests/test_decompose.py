@@ -209,7 +209,7 @@ def test_invert_reciprocal_eigenvalues():
     form = invert_triple(t)
     assert form.beta == 0.5
     # beta - k1 = 1/(alpha + k) entrywise
-    k1 = form.k1_entries.points[0].value.real
+    k1 = form.k1_entries[0].value.real
     assert abs((form.beta - k1) - 1.0 / 3.5) < 1e-15
     for e, g in zip(t.f_entries, form.f1_entries):
         assert abs((form.beta + g.value.real)
@@ -217,7 +217,7 @@ def test_invert_reciprocal_eigenvalues():
         assert e.mult == g.mult
     # cluster deltas map term by term
     src = t.k_cluster().deltas.terms(8)
-    img = form.k1_entries.clusters[0].deltas.terms(8)
+    img = form.k1_clusters[0].deltas.terms(8)
     for d, d1 in zip(src, img):
         assert abs((form.beta - d1) - 1.0 / (t.alpha + d)) < 1e-15
 
@@ -225,10 +225,22 @@ def test_invert_reciprocal_eigenvalues():
 def test_invert_norm_bound():
     t = decompose_positive(full_model())
     form = invert_triple(t)
-    tops = [p.value.real for p in form.k1_entries.points]
-    for cl in form.k1_entries.clusters:
+    tops = [p.value.real for p in form.k1_entries]
+    for cl in form.k1_clusters:
         tops.extend(cl.deltas.terms(48))
     assert max(tops) <= form.beta + 1e-12
+
+
+def test_invert_keeps_k1_entries_paired_with_their_sources():
+    # 1e6 and 1e6 + 1 are distinct compact values whose k1 images
+    # x / (alpha * (x + alpha)) lie about 1e-12 apart, well inside MERGE_TOL
+    t = PositiveTriple(1.0, positive_points((1e6, 1), (1e6 + 1.0, 2)), (), 0)
+    form = invert_triple(t)
+    assert [e.mult for e in form.k1_entries] == [1, 2]
+    assert abs(form.k1_entries[1].value - form.k1_entries[0].value) < 1e-9
+    for (w, mult), src in zip(form.eigenvalues(0), t.k_entries.points):
+        assert mult == src.mult
+        assert abs(w - 1.0 / (t.alpha + src.value.real)) < 1e-14
 
 
 def test_invert_requires_positive_shift():

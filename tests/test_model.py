@@ -92,6 +92,22 @@ def test_normalize_is_idempotent():
     assert normalize_model(n) == n
 
 
+def test_normalize_model_is_the_identity():
+    m = SpectrumModel(SELF_ADJOINT, (EigenvalueEntry(2.0 + 0j, 1),),
+                      (Cluster(1.0 + 0j, ABOVE, GEO),))
+    assert normalize_model(m) is m
+
+
+def test_merged_clusters_are_checked_at_their_shared_limit():
+    # each below-side cluster stays above zero at its own limit, but the one
+    # at 1 + 0.9e-9 reaches below zero from the merged limit 1
+    with pytest.raises(MalformedModelError):
+        SpectrumModel(SELF_ADJOINT, (), (
+            Cluster(1.0 + 0j, BELOW, DecaySequence.geometric(1.0, 0.5)),
+            Cluster(1.0 + 9e-10 + 0j, BELOW,
+                    DecaySequence.geometric(1.0 + 1.8e-9, 0.5))))
+
+
 def test_normalize_rejects_unknown_kind():
     with pytest.raises(MalformedModelError):
         normalize_model(SpectrumModel("unitary", ()))
@@ -107,9 +123,8 @@ def test_normalize_rejects_bad_multiplicity():
 
 
 def test_real_kinds_reject_complex_values():
-    m = SpectrumModel(SELF_ADJOINT, (EigenvalueEntry(1 + 1j, 1),))
     with pytest.raises(MalformedModelError):
-        normalize_model(m)
+        SpectrumModel(SELF_ADJOINT, (EigenvalueEntry(1 + 1j, 1),))
     # the same value is fine on a normal model
     normalize_model(SpectrumModel(NORMAL, (EigenvalueEntry(1 + 1j, 1),)))
 
@@ -119,14 +134,12 @@ def test_cluster_members_must_not_cross_zero():
     ok = SpectrumModel(SELF_ADJOINT, (), (
         Cluster(-1.0 + 0j, ABOVE, DecaySequence.geometric(1.0, 0.5)),))
     normalize_model(ok)
-    bad = SpectrumModel(SELF_ADJOINT, (), (
-        Cluster(-1.0 + 0j, ABOVE, DecaySequence.geometric(1.5, 0.5)),))
     with pytest.raises(MalformedModelError):
-        normalize_model(bad)
-    bad = SpectrumModel(POSITIVE, (), (
-        Cluster(1.0 + 0j, BELOW, DecaySequence.geometric(1.5, 0.5)),))
+        SpectrumModel(SELF_ADJOINT, (), (
+            Cluster(-1.0 + 0j, ABOVE, DecaySequence.geometric(1.5, 0.5)),))
     with pytest.raises(MalformedModelError):
-        normalize_model(bad)
+        SpectrumModel(POSITIVE, (), (
+            Cluster(1.0 + 0j, BELOW, DecaySequence.geometric(1.5, 0.5)),))
 
 
 def test_materialize_lists_points_and_members():
@@ -333,6 +346,46 @@ def small_positive_models(draw):
         clusters = (Cluster(complex(limit, 0.0), side,
                             DecaySequence.geometric(head, 0.5)),)
     return SpectrumModel(POSITIVE, points, clusters)
+
+
+#: values on chains of MERGE_TOL/2 steps, which merge only as whole chains
+chained = st.builds(lambda base, k: base + k * 0.5e-9,
+                    st.sampled_from([-2.0, -1.0, 0.0, 1.0, 1.5, 2.0]),
+                    st.integers(min_value=0, max_value=4))
+raw_deltas = st.one_of(
+    st.builds(DecaySequence.geometric, st.sampled_from([0.5, 0.25, 0.125]),
+              st.sampled_from([0.5, 0.25])),
+    st.builds(DecaySequence.harmonic, st.sampled_from([0.5, 0.25])),
+    st.builds(lambda n, end: DecaySequence.explicit(
+        [0.5 ** (k + 1) for k in range(n)], terminating=end),
+        st.integers(min_value=1, max_value=4), st.booleans()))
+
+
+@st.composite
+def raw_models(draw):
+    """Unnormalized self-adjoint or normal inputs: points and clusters on
+    chains, terminating explicit clusters among them, in any order."""
+    kind = draw(st.sampled_from([SELF_ADJOINT, NORMAL]))
+    if kind == NORMAL:
+        spectral = st.builds(complex, chained, st.sampled_from([0.0, 0.5e-9, 1.0]))
+    else:
+        spectral = st.builds(complex, chained)
+    points = draw(st.lists(st.builds(EigenvalueEntry, spectral, mults), max_size=8))
+    # limits keep their real part away from zero, so no cluster crosses it
+    limits = spectral.filter(lambda v: abs(v.real) >= 1.0)
+    clusters = draw(st.lists(st.builds(Cluster, limits, st.sampled_from([ABOVE, BELOW]),
+                                       raw_deltas), max_size=5))
+    return kind, points, clusters
+
+
+@given(raw_models(), st.data())
+def test_models_are_built_normal_and_order_free(raw, data):
+    kind, points, clusters = raw
+    m = SpectrumModel(kind, tuple(points), tuple(clusters))
+    assert SpectrumModel(m.kind, m.points, m.clusters) == m
+    shuffled = SpectrumModel(kind, tuple(data.draw(st.permutations(points))),
+                             tuple(data.draw(st.permutations(clusters))))
+    assert shuffled == m
 
 
 @given(small_positive_models())
