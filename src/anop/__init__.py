@@ -83,7 +83,6 @@ from .matrix import (
 )
 from .oracle import (
     FAMILIES,
-    GeneratorProfile,
     OracleFailure,
     OracleReport,
     PerturbationReport,

@@ -41,6 +41,7 @@ from .errors import AnopError, ParseError
 from .matrix import (
     CHECK_TOL,
     POLAR_TOL,
+    _fro,
     block_form,
     inverse_via_blocks,
     polar_decompose,
@@ -213,10 +214,6 @@ def _decomposition_in(args):
     if isinstance(data, dict) and "alpha" in data:
         return sz.parse_triple(data)
     raise ParseError("input must be a model, triple, or structure document")
-
-
-def _fro(m) -> float:
-    return math.sqrt(float(np.sum(np.abs(np.asarray(m)) ** 2)))
 
 
 # ---------------------------------------------------------------------------

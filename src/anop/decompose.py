@@ -36,10 +36,11 @@ from .model import (
     EigenvalueEntry,
     SpectrumModel,
     classify,
+    _as_mult,
     _declared_positive_negative,
     mapped_cluster,
 )
-from .sequences import MATERIALIZE_DEPTH, close_groups
+from .sequences import close_groups
 
 
 def _as_count(value, what: str):
@@ -126,9 +127,6 @@ class PositiveTriple:
 
     # -- queries -----------------------------------------------------------
 
-    def k_cluster(self) -> Cluster | None:
-        return self.k_entries.clusters[0] if self.k_entries.clusters else None
-
     def is_injective(self) -> bool:
         return self.kernel_multiplicity() == 0
 
@@ -190,6 +188,11 @@ class StructuredDecomposition:
     blocks: tuple[Block, ...]
     cluster_blocks: tuple[Cluster, ...]
     kernel_multiplicity: float  # int >= 0 or inf
+
+    def __post_init__(self):
+        for b in self.blocks:
+            _as_mult(b.mult)
+        _as_count(self.kernel_multiplicity, "kernel multiplicity")
 
     def eigenvalues(self, depth: int):
         """Recombined (value, mult) pairs, kernel included."""
@@ -286,47 +289,38 @@ def decompose_positive(model: SpectrumModel) -> PositiveTriple:
     f_entries = tuple(EigenvalueEntry(complex(v, 0.0), p.mult)
                       for p, part, v in split if part == "f")
     identity = sum(p.mult for p, part, _ in split if part == "identity")
-    k_clusters = tuple(Cluster(0j, ABOVE, cl.deltas) for cl in model.clusters)
-    return PositiveTriple(alpha, SpectrumModel(POSITIVE, k_points, k_clusters),
+    tails = tuple(Cluster(0j, ABOVE, cl.deltas) for cl in model.clusters)
+    return PositiveTriple(alpha, SpectrumModel(POSITIVE, k_points, tails),
                           f_entries, identity)
 
 
 def recompose(triple: PositiveTriple) -> SpectrumModel:
-    """Positive model with eigenvalues ``alpha + k``, ``alpha - f`` and
-    ``alpha`` on the identity directions."""
-    points = []
-    for p in triple.k_entries.points:
-        points.append(EigenvalueEntry(complex(triple.alpha + p.value.real, 0.0), p.mult))
-    for e in triple.f_entries:
-        points.append(EigenvalueEntry(complex(triple.alpha - e.value.real, 0.0), e.mult))
-    if triple.identity_multiplicity:
-        points.append(EigenvalueEntry(complex(triple.alpha, 0.0),
-                                      triple.identity_multiplicity))
-    clusters = tuple(Cluster(complex(triple.alpha, 0.0), ABOVE, cl.deltas)
-                     for cl in triple.k_entries.clusters)
-    return SpectrumModel(POSITIVE, tuple(points), clusters)
+    """Positive model of the triple's operator: each block of
+    :meth:`PositiveTriple.as_structure` at its :meth:`Block.eigenvalue`."""
+    sd = triple.as_structure()
+    points = tuple(EigenvalueEntry(b.eigenvalue(sd.alpha), b.mult) for b in sd.blocks)
+    return SpectrumModel(POSITIVE, points, sd.cluster_blocks)
 
 
 # ---------------------------------------------------------------------------
 # triple maps
 
 
-def _map_k_model(k: SpectrumModel, fn, depth: int):
+def _map_k_model(k: SpectrumModel, fn):
     """Apply a strictly increasing map fixing zero to the compact part:
     ``(points, clusters)``, one image per source entry, unmerged."""
     points = tuple(EigenvalueEntry(complex(fn(p.value.real), 0.0), p.mult)
                    for p in k.points)
-    mapped = (mapped_cluster(cl, lambda z: fn(z.real), depth) for cl in k.clusters)
+    mapped = (mapped_cluster(cl, lambda z: fn(z.real)) for cl in k.clusters)
     return points, tuple(cl for cl in mapped if cl is not None)
 
 
-def square_triple(triple: PositiveTriple,
-                  depth: int = MATERIALIZE_DEPTH) -> PositiveTriple:
+def square_triple(triple: PositiveTriple) -> PositiveTriple:
     """Triple of ``T**2``: ``k -> k**2 + 2*alpha*k``, ``f -> 2*alpha*f - f**2``,
     ``alpha -> alpha**2``.  Cluster deltas are re-presented explicitly since
     the square map does not preserve the symbolic generators."""
     a = triple.alpha
-    k = _map_k_model(triple.k_entries, lambda x: x * x + 2.0 * a * x, depth)
+    k = _map_k_model(triple.k_entries, lambda x: x * x + 2.0 * a * x)
     f = tuple(EigenvalueEntry(complex(2.0 * a * e.value.real - e.value.real ** 2, 0.0),
                               e.mult)
               for e in triple.f_entries)
@@ -334,15 +328,13 @@ def square_triple(triple: PositiveTriple,
                           triple.identity_multiplicity)
 
 
-def sqrt_triple(triple: PositiveTriple,
-                depth: int = MATERIALIZE_DEPTH) -> PositiveTriple:
+def sqrt_triple(triple: PositiveTriple) -> PositiveTriple:
     """Exact inverse of :func:`square_triple` on valid triples:
     ``alpha -> sqrt(alpha)``, ``k -> sqrt(alpha + k) - sqrt(alpha)``,
     ``f -> sqrt(alpha) - sqrt(alpha - f)``."""
     a = triple.alpha
     root = math.sqrt(a)
-    k = _map_k_model(triple.k_entries,
-                     lambda x: math.sqrt(a + x) - root, depth)
+    k = _map_k_model(triple.k_entries, lambda x: math.sqrt(a + x) - root)
     f = tuple(EigenvalueEntry(
         complex(root - math.sqrt(max(a - e.value.real, 0.0)), 0.0), e.mult)
         for e in triple.f_entries)
@@ -350,8 +342,7 @@ def sqrt_triple(triple: PositiveTriple,
                           triple.identity_multiplicity)
 
 
-def invert_triple(triple: PositiveTriple,
-                  depth: int = MATERIALIZE_DEPTH) -> AMForm:
+def invert_triple(triple: PositiveTriple) -> AMForm:
     """AM-form inverse ``beta*I - K1 + F1``: every recombined eigenvalue is
     the exact reciprocal of its source (``beta - k1 = 1/(alpha + k)``,
     ``beta + f1 = 1/(alpha - f)``); ``norm(K1) <= beta`` holds entrywise."""
@@ -361,8 +352,7 @@ def invert_triple(triple: PositiveTriple,
     if not triple.is_injective():
         raise NotInjectiveError("finite-rank part reaches alpha: kernel is nontrivial")
     beta = 1.0 / a
-    k1, k1_clusters = _map_k_model(triple.k_entries,
-                                   lambda x: x / (a * (x + a)), depth)
+    k1, k1_clusters = _map_k_model(triple.k_entries, lambda x: x / (a * (x + a)))
     f1 = tuple(EigenvalueEntry(
         complex(e.value.real / (a * (a - e.value.real)), 0.0), e.mult)
         for e in triple.f_entries)
@@ -402,14 +392,13 @@ def structure_normal(model: SpectrumModel) -> StructuredDecomposition:
 # spectral transforms
 
 
-def gram_spectrum(model: SpectrumModel,
-                  depth: int = MATERIALIZE_DEPTH) -> SpectrumModel:
+def gram_spectrum(model: SpectrumModel) -> SpectrumModel:
     """Positive model of ``T*T``: values squared in modulus.  AN membership
     is preserved (it is decided on the modulus spectrum, and squaring is
     strictly monotone on moduli)."""
     points = tuple(EigenvalueEntry(complex(abs(p.value) ** 2, 0.0), p.mult)
                    for p in model.points)
-    mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2, depth) for cl in model.clusters)
+    mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2) for cl in model.clusters)
     return SpectrumModel(POSITIVE, points, tuple(cl for cl in mapped if cl is not None))
 
 

@@ -59,7 +59,7 @@ def _parallel_order(n):
     return rounds
 
 
-def _jacobi_sweeps(a, v, tol, max_sweeps):
+def _jacobi_sweeps(a, v, max_sweeps):
     """Parallel-order complex Jacobi on Hermitian ``a``; ``v`` accumulates
     the eigenvector basis.  Returns the sweep count, or -1 on
     non-convergence.
@@ -74,7 +74,7 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
     norm_f = _fro(a)
     if norm_f == 0.0:
         return 0
-    thresh = tol * norm_f
+    thresh = EIGEN_TOL * norm_f
     pivot_tol = thresh / (2.0 * n)
     off_diagonal = ~np.eye(n, dtype=bool)
     rounds = _parallel_order(n)
@@ -207,8 +207,7 @@ def _fro(a) -> float:
     return math.sqrt(float(np.sum(np.abs(a) ** 2)))
 
 
-def hermitian_eigen(a, tol: float = EIGEN_TOL,
-                    max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
+def hermitian_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by round-robin
     (parallel-order) Jacobi.
 
@@ -225,7 +224,7 @@ def hermitian_eigen(a, tol: float = EIGEN_TOL,
         raise NotHermitianError("eigensolver input is not Hermitian")
     work = np.ascontiguousarray((m + m.conj().T) / 2.0)
     basis = np.eye(n, dtype=np.complex128)
-    sweeps = _jacobi_sweeps(work, basis, float(tol), int(max_sweeps))
+    sweeps = _jacobi_sweeps(work, basis, int(max_sweeps))
     if sweeps < 0:
         raise NoConvergenceError(
             f"Jacobi did not converge within {max_sweeps} sweeps at dimension {n}")

@@ -67,13 +67,13 @@ def _as_value(value, kind: str) -> complex:
     return v
 
 
-def _as_mult(mult, minimum: int = 1):
+def _as_mult(mult):
     if mult == INF:
         return INF
     if isinstance(mult, bool) or not isinstance(mult, int):
         raise MalformedModelError(f"multiplicity {mult!r} must be a positive integer or inf")
-    if mult < minimum:
-        raise MalformedModelError(f"multiplicity {mult} must be >= {minimum}")
+    if mult < 1:
+        raise MalformedModelError(f"multiplicity {mult} must be >= 1")
     return mult
 
 
@@ -250,28 +250,29 @@ def descending_prefix(values) -> tuple[float, ...]:
     return tuple(out)
 
 
-def mapped_cluster(cl: Cluster, fn, depth: int) -> Cluster | None:
+def mapped_cluster(cl: Cluster, fn) -> Cluster | None:
     """Explicit re-presentation of the image of ``cl`` under ``fn``.
 
     For maps that move members monotonically but not by a fixed shift: the
-    first ``depth`` members are mapped, their offsets are taken from the
-    image of the limit, the side is read off the first offset, and the
-    longest strictly decreasing prefix of the offset sizes is stored as an
-    explicit sequence.  None when no offset survives the prefix cut.
+    first ``MATERIALIZE_DEPTH`` members are mapped, their offsets are taken
+    from the image of the limit, the side is read off the first offset, and
+    the longest strictly decreasing prefix of the offset sizes is stored as
+    an explicit sequence, non-terminating as every cluster of a built model
+    is.  None when no offset survives the prefix cut.
     """
     base = fn(cl.limit)
-    diffs = [fn(m) - base for m in cl.members(depth)]
+    diffs = [fn(m) - base for m in cl.members(MATERIALIZE_DEPTH)]
     mags = descending_prefix(abs(d) for d in diffs)
     if not mags:
         return None
     return Cluster(complex(base, 0.0), ABOVE if diffs[0] > 0 else BELOW,
-                   DecaySequence.explicit(mags, terminating=cl.deltas.terminating))
+                   DecaySequence.explicit(mags, terminating=False))
 
 
-def _modulus_cluster(cl: Cluster, depth: int) -> Cluster | None:
+def _modulus_cluster(cl: Cluster) -> Cluster | None:
     limit = cl.limit
     if limit.imag != 0.0:
-        return mapped_cluster(cl, abs, depth)
+        return mapped_cluster(cl, abs)
     r = limit.real
     if r > 0.0:
         side = cl.side
@@ -282,13 +283,12 @@ def _modulus_cluster(cl: Cluster, depth: int) -> Cluster | None:
     return Cluster(complex(abs(limit), 0.0), side, cl.deltas)
 
 
-def modulus_spectrum(model: SpectrumModel,
-                     depth: int = MATERIALIZE_DEPTH) -> SpectrumModel:
+def modulus_spectrum(model: SpectrumModel) -> SpectrumModel:
     """Positive model of ``|T|``: values replaced by moduli and merged."""
     points = [EigenvalueEntry(complex(abs(p.value), 0.0), p.mult) for p in model.points]
     clusters = []
     for cl in model.clusters:
-        mapped = _modulus_cluster(cl, depth)
+        mapped = _modulus_cluster(cl)
         if mapped is not None:
             clusters.append(mapped)
     return SpectrumModel(POSITIVE, tuple(points), tuple(clusters))

@@ -29,9 +29,11 @@ from .model import (
     ABOVE,
     BELOW,
     INF,
+    KINDS,
     NORMAL,
     POSITIVE,
     SELF_ADJOINT,
+    VIOLATION_ORDER,
     LIMIT_FROM_BELOW,
     LIMIT_NEQ_INFINITE_MULT,
     MULTIPLE_INFINITE_MULTIPLICITIES,
@@ -244,9 +246,7 @@ class PerturbationReport:
     grid_hi: float
 
 
-def rank_perturbation_check(base, perturbed, rank_bound: int,
-                            grid_points: int = 257,
-                            tol: float = 1e-9) -> PerturbationReport:
+def rank_perturbation_check(base, perturbed, rank_bound: int) -> PerturbationReport:
     """Check the Weyl-type stability of eigenvalue counts.
 
     For Hermitian A and B with rank(A - B) <= r, the counting functions
@@ -259,13 +259,13 @@ def rank_perturbation_check(base, perturbed, rank_bound: int,
     vb = np.linalg.eigvalsh(b)
     lo = float(min(va[0], vb[0])) - 1.0
     hi = float(max(va[-1], vb[-1])) + 1.0
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, 257)
     na = np.searchsorted(va, xs, side="right")
     nb = np.searchsorted(vb, xs, side="right")
     gap = int(np.max(np.abs(na - nb)))
     diff_eigs = np.linalg.eigvalsh(a - b)
     scale = max(float(np.max(np.abs(diff_eigs))), 1.0)
-    rank = int(np.count_nonzero(np.abs(diff_eigs) > tol * scale))
+    rank = int(np.count_nonzero(np.abs(diff_eigs) > 1e-9 * scale))
     return PerturbationReport(gap <= rank_bound, gap, rank, lo, hi)
 
 
@@ -273,35 +273,15 @@ def rank_perturbation_check(base, perturbed, rank_bound: int,
 # seeded model generators
 
 
-FAMILY_POSITIVE = "positive"
-FAMILY_SELF_ADJOINT = "selfadjoint"
-FAMILY_NORMAL = "normal"
-FAMILIES = (FAMILY_POSITIVE, FAMILY_SELF_ADJOINT, FAMILY_NORMAL)
+FAMILIES = KINDS
+VIOLATION_CODES = VIOLATION_ORDER
 
-VIOLATION_CODES = (
-    NEGATIVE_VALUE,
-    MULTIPLE_LIMIT_POINTS,
-    LIMIT_FROM_BELOW,
-    MULTIPLE_INFINITE_MULTIPLICITIES,
-    LIMIT_NEQ_INFINITE_MULT,
-)
-
-
-@dataclass(frozen=True)
-class GeneratorProfile:
-    """Value layout for seeded models: grid spacing keeps distinct values
-    far apart relative to the merge tolerance, and cluster heads stay under
-    half the spacing so every essential pair is oracle-probeable."""
-
-    spacing: float = 0.25
-    max_points: int = 4
-    max_mult: int = 3
-
-    def __post_init__(self):
-        if self.spacing <= 1e-6:
-            raise ValueError("spacing too small")
-        if self.max_points < 1 or self.max_mult < 1:
-            raise ValueError("point and multiplicity caps must be positive")
+# Value layout for seeded models: grid spacing keeps distinct values far
+# apart relative to the merge tolerance, and cluster heads stay under half
+# the spacing so every essential pair is oracle-probeable.
+_SPACING = 0.25
+_MAX_POINTS = 4
+_MAX_MULT = 3
 
 
 def _gen_deltas(rng: random.Random, head: float) -> DecaySequence:
@@ -317,46 +297,43 @@ def _gen_deltas(rng: random.Random, head: float) -> DecaySequence:
     return DecaySequence.explicit(terms, terminating=False)
 
 
-def _grid_values(rng: random.Random, prof: GeneratorProfile, count: int,
-                 lo_step: int, hi_step: int):
+def _grid_values(rng: random.Random, count: int, lo_step: int, hi_step: int):
     steps = rng.sample(range(lo_step, hi_step), min(count, hi_step - lo_step))
-    return [s * prof.spacing for s in sorted(steps)]
+    return [s * _SPACING for s in sorted(steps)]
 
 
-def _gen_positive(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
-    head = prof.spacing / 2.0
+def _gen_positive(rng: random.Random) -> SpectrumModel:
+    head = _SPACING / 2.0
     case = rng.randrange(4)
     points: list[EigenvalueEntry] = []
     clusters: list[Cluster] = []
     if case == 0:
         # compact only: essential minimum zero
-        for v in _grid_values(rng, prof, rng.randint(1, prof.max_points), 1, 17):
-            points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
+        for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, 17):
+            points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
         if rng.random() < 0.6:
             clusters.append(Cluster(0j, ABOVE, _gen_deltas(rng, head)))
         if rng.random() < 0.3:
             points.append(EigenvalueEntry(0j, INF))
         if not points and not clusters:
-            points.append(EigenvalueEntry(complex(prof.spacing, 0), 1))
+            points.append(EigenvalueEntry(complex(_SPACING, 0), 1))
     else:
-        alpha = rng.randint(2, 6) * prof.spacing * 2
-        alpha_steps = round(alpha / prof.spacing)
+        alpha = rng.randint(2, 6) * _SPACING * 2
+        alpha_steps = round(alpha / _SPACING)
         if case == 1:
             # no finite-rank part
-            sink_cluster = rng.random() < 0.5
-            if sink_cluster:
+            if rng.random() < 0.5:
                 clusters.append(Cluster(complex(alpha, 0), ABOVE, _gen_deltas(rng, head)))
             else:
                 points.append(EigenvalueEntry(complex(alpha, 0), INF))
-            for v in _grid_values(rng, prof, rng.randint(1, prof.max_points),
+            for v in _grid_values(rng, rng.randint(1, _MAX_POINTS),
                                   alpha_steps + 1, alpha_steps + 12):
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
+                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
         elif case == 2:
             # no compact part: infinite multiplicity holds the shift alone
             points.append(EigenvalueEntry(complex(alpha, 0), INF))
-            for v in _grid_values(rng, prof, rng.randint(1, prof.max_points),
-                                  1, alpha_steps):
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
+            for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, alpha_steps):
+                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
             if rng.random() < 0.3:
                 points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
         else:
@@ -365,22 +342,22 @@ def _gen_positive(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
                 clusters.append(Cluster(complex(alpha, 0), ABOVE, _gen_deltas(rng, head)))
             else:
                 points.append(EigenvalueEntry(complex(alpha, 0), INF))
-                above = _grid_values(rng, prof, 1, alpha_steps + 1, alpha_steps + 9)
+                above = _grid_values(rng, 1, alpha_steps + 1, alpha_steps + 9)
                 points.append(EigenvalueEntry(complex(above[0], 0),
-                                              rng.randint(1, prof.max_mult)))
-            for v in _grid_values(rng, prof, rng.randint(1, 2),
+                                              rng.randint(1, _MAX_MULT)))
+            for v in _grid_values(rng, rng.randint(1, 2),
                                   alpha_steps + 1, alpha_steps + 12):
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
-            below = _grid_values(rng, prof, rng.randint(1, 2), 1, alpha_steps)
+                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
+            below = _grid_values(rng, rng.randint(1, 2), 1, alpha_steps)
             for v in below:
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
+                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
     return SpectrumModel(POSITIVE, tuple(points), tuple(clusters))
 
 
-def _gen_selfadjoint(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
-    head = prof.spacing / 2.0
-    alpha = rng.randint(2, 6) * prof.spacing * 2
-    alpha_steps = round(alpha / prof.spacing)
+def _gen_selfadjoint(rng: random.Random) -> SpectrumModel:
+    head = _SPACING / 2.0
+    alpha = rng.randint(2, 6) * _SPACING * 2
+    alpha_steps = round(alpha / _SPACING)
     points: list[EigenvalueEntry] = []
     clusters: list[Cluster] = []
     sinks = rng.sample(["plus_inf", "minus_inf", "plus_cluster", "minus_cluster"],
@@ -393,12 +370,11 @@ def _gen_selfadjoint(rng: random.Random, prof: GeneratorProfile) -> SpectrumMode
         clusters.append(Cluster(complex(alpha, 0), ABOVE, _gen_deltas(rng, head)))
     if "minus_cluster" in sinks:
         clusters.append(Cluster(complex(-alpha, 0), BELOW, _gen_deltas(rng, head)))
-    for v in _grid_values(rng, prof, rng.randint(1, prof.max_points),
-                          1, alpha_steps + 12):
-        if abs(v - alpha) < prof.spacing / 2:
+    for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, alpha_steps + 12):
+        if abs(v - alpha) < _SPACING / 2:
             continue
         sign = rng.choice([-1.0, 1.0])
-        points.append(EigenvalueEntry(complex(sign * v, 0), rng.randint(1, prof.max_mult)))
+        points.append(EigenvalueEntry(complex(sign * v, 0), rng.randint(1, _MAX_MULT)))
     if rng.random() < 0.3:
         points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
     return SpectrumModel(SELF_ADJOINT, tuple(points), tuple(clusters))
@@ -408,10 +384,10 @@ _PHASES = tuple(complex(math.cos(k * math.pi / 6.0), math.sin(k * math.pi / 6.0)
                 for k in range(12))
 
 
-def _gen_normal(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
-    head = prof.spacing / 2.0
-    alpha = rng.randint(2, 6) * prof.spacing * 2
-    alpha_steps = round(alpha / prof.spacing)
+def _gen_normal(rng: random.Random) -> SpectrumModel:
+    head = _SPACING / 2.0
+    alpha = rng.randint(2, 6) * _SPACING * 2
+    alpha_steps = round(alpha / _SPACING)
     points: list[EigenvalueEntry] = []
     clusters: list[Cluster] = []
     for _ in range(rng.randint(1, 2)):
@@ -421,28 +397,25 @@ def _gen_normal(rng: random.Random, prof: GeneratorProfile) -> SpectrumModel:
         else:
             side = ABOVE if phase.real >= 0 else BELOW
             clusters.append(Cluster(alpha * phase, side, _gen_deltas(rng, head)))
-    for v in _grid_values(rng, prof, rng.randint(1, prof.max_points),
-                          1, alpha_steps + 12):
-        if abs(v - alpha) < prof.spacing / 2:
+    for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, alpha_steps + 12):
+        if abs(v - alpha) < _SPACING / 2:
             continue
         points.append(EigenvalueEntry(v * rng.choice(_PHASES),
-                                      rng.randint(1, prof.max_mult)))
+                                      rng.randint(1, _MAX_MULT)))
     if rng.random() < 0.2:
         points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
     return SpectrumModel(NORMAL, tuple(points), tuple(clusters))
 
 
-def generate_model(seed: int, family: str,
-                   profile: GeneratorProfile | None = None) -> SpectrumModel:
-    """Seeded AN model from one of the three kind families."""
-    prof = profile or GeneratorProfile()
+def generate_model(seed: int, family: str) -> SpectrumModel:
+    """Seeded AN model of one of the three kinds."""
     rng = random.Random(("model", family, seed).__repr__())
-    if family == FAMILY_POSITIVE:
-        return _gen_positive(rng, prof)
-    if family == FAMILY_SELF_ADJOINT:
-        return _gen_selfadjoint(rng, prof)
-    if family == FAMILY_NORMAL:
-        return _gen_normal(rng, prof)
+    if family == POSITIVE:
+        return _gen_positive(rng)
+    if family == SELF_ADJOINT:
+        return _gen_selfadjoint(rng)
+    if family == NORMAL:
+        return _gen_normal(rng)
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
@@ -465,13 +438,13 @@ def _maybe_sign_flip(rng: random.Random, model: SpectrumModel) -> SpectrumModel:
 
 
 FAMILY_CYCLE = (
-    (FAMILY_POSITIVE, None),
-    (FAMILY_POSITIVE, None),
-    (FAMILY_POSITIVE, None),
-    (FAMILY_SELF_ADJOINT, None),
-    (FAMILY_SELF_ADJOINT, None),
-    (FAMILY_NORMAL, None),
-    (FAMILY_NORMAL, None),
+    (POSITIVE, None),
+    (POSITIVE, None),
+    (POSITIVE, None),
+    (SELF_ADJOINT, None),
+    (SELF_ADJOINT, None),
+    (NORMAL, None),
+    (NORMAL, None),
     ("violator", NEGATIVE_VALUE),
     ("violator", MULTIPLE_LIMIT_POINTS),
     ("violator", LIMIT_FROM_BELOW),
@@ -480,48 +453,46 @@ FAMILY_CYCLE = (
 )
 
 
-def mixed_model(seed: int, profile: GeneratorProfile | None = None):
+def mixed_model(seed: int):
     """Seeded model drawn from the weighted family cycle (three positive,
     two self-adjoint, two normal, five violators per twelve seeds).
     Returns ``(tag, model)`` where the tag names the family or violation."""
     family, code = FAMILY_CYCLE[seed % len(FAMILY_CYCLE)]
     if family == "violator":
-        return f"violator:{code}", generate_violator(seed, code, profile)
-    return family, generate_model(seed, family, profile)
+        return f"violator:{code}", generate_violator(seed, code)
+    return family, generate_model(seed, family)
 
 
-def generate_violator(seed: int, code: str,
-                      profile: GeneratorProfile | None = None) -> SpectrumModel:
+def generate_violator(seed: int, code: str) -> SpectrumModel:
     """Seeded model violating exactly the requested condition."""
-    prof = profile or GeneratorProfile()
     rng = random.Random(("violator", code, seed).__repr__())
-    head = prof.spacing / 2.0
+    head = _SPACING / 2.0
     points: list[EigenvalueEntry] = []
     clusters: list[Cluster] = []
     if code == NEGATIVE_VALUE:
-        neg = -rng.randint(1, 8) * prof.spacing
-        points.append(EigenvalueEntry(complex(neg, 0), rng.randint(1, prof.max_mult)))
-        points.append(EigenvalueEntry(complex(rng.randint(2, 6) * prof.spacing * 2, 0), INF))
+        neg = -rng.randint(1, 8) * _SPACING
+        points.append(EigenvalueEntry(complex(neg, 0), rng.randint(1, _MAX_MULT)))
+        points.append(EigenvalueEntry(complex(rng.randint(2, 6) * _SPACING * 2, 0), INF))
         return SpectrumModel(POSITIVE, tuple(points), ())
     if code == MULTIPLE_LIMIT_POINTS:
-        lo, hi = _grid_values(rng, prof, 2, 2, 14)
-        if hi - lo < 2 * prof.spacing:
-            hi = lo + 2 * prof.spacing
+        lo, hi = _grid_values(rng, 2, 2, 14)
+        if hi - lo < 2 * _SPACING:
+            hi = lo + 2 * _SPACING
         clusters.append(Cluster(complex(lo, 0), ABOVE, _gen_deltas(rng, head)))
         clusters.append(Cluster(complex(hi, 0), ABOVE, _gen_deltas(rng, head)))
     elif code == LIMIT_FROM_BELOW:
-        limit = rng.randint(4, 10) * prof.spacing
+        limit = rng.randint(4, 10) * _SPACING
         clusters.append(Cluster(complex(limit, 0), BELOW, _gen_deltas(rng, head)))
     elif code == MULTIPLE_INFINITE_MULTIPLICITIES:
-        lo, hi = _grid_values(rng, prof, 2, 2, 14)
-        if hi - lo < 2 * prof.spacing:
-            hi = lo + 2 * prof.spacing
+        lo, hi = _grid_values(rng, 2, 2, 14)
+        if hi - lo < 2 * _SPACING:
+            hi = lo + 2 * _SPACING
         points.append(EigenvalueEntry(complex(lo, 0), INF))
         points.append(EigenvalueEntry(complex(hi, 0), INF))
     elif code == LIMIT_NEQ_INFINITE_MULT:
-        lo, hi = _grid_values(rng, prof, 2, 2, 14)
-        if hi - lo < 2 * prof.spacing:
-            hi = lo + 2 * prof.spacing
+        lo, hi = _grid_values(rng, 2, 2, 14)
+        if hi - lo < 2 * _SPACING:
+            hi = lo + 2 * _SPACING
         if rng.random() < 0.5:
             clusters.append(Cluster(complex(lo, 0), ABOVE, _gen_deltas(rng, head)))
             points.append(EigenvalueEntry(complex(hi, 0), INF))
@@ -531,6 +502,6 @@ def generate_violator(seed: int, code: str,
     else:
         raise ValueError(f"unknown violation code {code!r}")
     if rng.random() < 0.5:
-        for v in _grid_values(rng, prof, rng.randint(1, 2), 15, 24):
-            points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, prof.max_mult)))
+        for v in _grid_values(rng, rng.randint(1, 2), 15, 24):
+            points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
     return _maybe_sign_flip(rng, SpectrumModel(POSITIVE, tuple(points), tuple(clusters)))

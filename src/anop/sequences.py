@@ -150,22 +150,15 @@ class DecaySequence:
             return self.first
         return self.scale
 
-    def term_count(self) -> float:
-        """Number of terms: finite for terminating sequences, else ``inf``."""
-        if self.terminating:
-            return float(len(self.terms_))
-        return math.inf
 
-
-def merge_sequences(seqs, depth: int = MATERIALIZE_DEPTH,
-                    tol: float = MERGE_TOL) -> DecaySequence:
+def merge_sequences(seqs) -> DecaySequence:
     """Interleave several delta sequences into one explicit sequence.
 
     Used when two clusters land on the same (limit, side) after a modulus or
     Gram map.  Coincident terms (see :func:`close_groups`) are kept once, as
     their largest; the merge is non-terminating when any source is.
     """
-    pool = [t for s in seqs for t in s.terms(depth)]
-    merged = [g[-1] for g in reversed(close_groups(pool, tol))]
+    pool = [t for s in seqs for t in s.terms(MATERIALIZE_DEPTH)]
+    merged = [g[-1] for g in reversed(close_groups(pool))]
     terminating = all(s.terminating for s in seqs)
-    return DecaySequence.explicit(merged[:depth], terminating=terminating)
+    return DecaySequence.explicit(merged[:MATERIALIZE_DEPTH], terminating=terminating)

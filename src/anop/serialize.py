@@ -178,12 +178,7 @@ def parse_model(obj) -> SpectrumModel:
     raw_clusters = obj.get("clusters", [])
     if not isinstance(raw_points, list) or not isinstance(raw_clusters, list):
         raise ParseError("points and clusters must be lists")
-    points = []
-    for rp in raw_points:
-        points.append(EigenvalueEntry(
-            _value_in(_require(rp, "value", "point"), "point value"),
-            _mult_in(_require(rp, "mult", "point"), "point multiplicity")))
-    return SpectrumModel(kind, tuple(points),
+    return SpectrumModel(kind, _entries_in(raw_points, "point"),
                          _clusters_in(raw_clusters, "cluster"))
 
 

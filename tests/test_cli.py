@@ -228,6 +228,22 @@ def test_shift_reports_a_malformed_normal_model_as_malformed(monkeypatch):
     assert env["result"] is None
 
 
+@pytest.mark.parametrize("block_mult,kernel", [(-2, 0), (1, -3)],
+                         ids=["negative_block_mult", "negative_kernel"])
+def test_structure_with_negative_multiplicity_is_malformed(block_mult, kernel, monkeypatch):
+    # checked when the structure is built, not left to the entry layout
+    doc = json.dumps({"alpha": 1.0,
+                      "blocks": [{"phase": [1, 0], "part": "k", "value": 0.5,
+                                  "mult": block_mult}],
+                      "clusters": [], "kernel_multiplicity": kernel})
+    code, out, _ = run_cli(["verify", "-", "--dim", "6"], stdin_text=doc,
+                           monkeypatch=monkeypatch)
+    assert code == 2
+    env = json.loads(out)
+    assert env["diagnostics"][0]["code"] == "MALFORMED"
+    assert env["result"] is None
+
+
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):
     doc = ('{"alpha":1.0,"k":{"kind":"positive","points":[{"value":2.0,"mult":0}]},'
            '"f":"not a list"}')

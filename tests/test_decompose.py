@@ -62,9 +62,9 @@ def test_decompose_splits_at_the_essential_level():
     t = decompose_positive(full_model())
     assert t.alpha == 2.0
     assert [p.value.real for p in t.k_entries.points] == [1.5]
-    assert t.k_cluster() is not None
-    assert t.k_cluster().limit == 0j
-    assert t.k_cluster().deltas == GEO
+    assert t.k_entries.clusters
+    assert t.k_entries.clusters[0].limit == 0j
+    assert t.k_entries.clusters[0].deltas == GEO
     assert [(e.value.real, e.mult) for e in t.f_entries] == [(1.0, 1), (1.75, 2)]
     assert t.identity_multiplicity == 0
 
@@ -82,7 +82,7 @@ def test_decompose_compact_only_model():
     t = decompose_positive(m)
     assert t.alpha == 0.0
     assert t.f_entries == ()
-    assert t.k_cluster() is not None
+    assert t.k_entries.clusters
 
 
 def test_decompose_requires_positive_kind():
@@ -216,7 +216,7 @@ def test_invert_reciprocal_eigenvalues():
                    - 1.0 / (t.alpha - e.value.real)) < 1e-15
         assert e.mult == g.mult
     # cluster deltas map term by term
-    src = t.k_cluster().deltas.terms(8)
+    src = t.k_entries.clusters[0].deltas.terms(8)
     img = form.k1_clusters[0].deltas.terms(8)
     for d, d1 in zip(src, img):
         assert abs((form.beta - d1) - 1.0 / (t.alpha + d)) < 1e-15

@@ -18,7 +18,6 @@ from anop.oracle import (
     FAMILIES,
     FAMILY_CYCLE,
     VIOLATION_CODES,
-    GeneratorProfile,
     TruncationProfile,
     attainment_oracle,
     generate_model,
@@ -192,13 +191,6 @@ def test_mixed_model_follows_the_cycle():
         else:
             assert tag == family
             assert model.kind == family
-
-
-def test_generator_profile_validation():
-    with pytest.raises(ValueError):
-        GeneratorProfile(spacing=0.0)
-    with pytest.raises(ValueError):
-        GeneratorProfile(max_points=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,11 @@ def test_explicit_terms_and_head():
     assert s.terms(2) == (0.5, 0.25)
     assert s.terms(10) == (0.5, 0.25, 0.1)
     assert s.head == 0.5
-    assert s.term_count() == 3
     assert s.terminating
 
 
 def test_explicit_non_terminating_flag():
     s = DecaySequence.explicit([0.5, 0.25], terminating=False)
-    assert s.term_count() == math.inf
     assert not s.terminating
 
 
@@ -47,7 +45,7 @@ def test_geometric_terms():
     s = DecaySequence.geometric(1.0, 0.5)
     assert s.terms(4) == (1.0, 0.5, 0.25, 0.125)
     assert s.head == 1.0
-    assert s.term_count() == math.inf
+    assert not s.terminating
 
 
 def test_geometric_validates_parameters():
@@ -65,7 +63,7 @@ def test_harmonic_terms():
     s = DecaySequence.harmonic(2.0)
     assert s.terms(3) == (2.0, 1.0, 2.0 / 3.0)
     assert s.head == 2.0
-    assert s.term_count() == math.inf
+    assert not s.terminating
     with pytest.raises(MalformedModelError):
         DecaySequence.harmonic(0.0)
 
@@ -82,7 +80,7 @@ def test_terms_zero_request():
 def test_merge_interleaves_and_dedupes():
     a = DecaySequence.explicit([0.5, 0.125])
     b = DecaySequence.explicit([0.25, 0.125 + 1e-12])
-    merged = merge_sequences([a, b], depth=8)
+    merged = merge_sequences([a, b])
     got = merged.terms(8)
     assert got == pytest.approx((0.5, 0.25, 0.125), abs=1e-9)
     assert len(got) == 3
@@ -92,7 +90,7 @@ def test_merge_interleaves_and_dedupes():
 def test_merge_non_terminating_when_any_source_is():
     a = DecaySequence.explicit([0.5])
     b = DecaySequence.geometric(0.25, 0.5)
-    merged = merge_sequences([a, b], depth=16)
+    merged = merge_sequences([a, b])
     assert not merged.terminating
     ts = merged.terms(16)
     assert ts[0] == 0.5 and ts[1] == 0.25
