@@ -12,27 +12,7 @@ import sys
 import time
 
 from anop.model import classify
-from anop.oracle import (
-    FAMILIES,
-    TruncationProfile,
-    VIOLATION_CODES,
-    attainment_oracle,
-    generate_model,
-    generate_violator,
-    mixed_model,
-)
-
-
-def _models(family, count, base_seed):
-    for i in range(count):
-        seed = base_seed + i
-        if family == "mixed":
-            yield seed, mixed_model(seed)[1]
-        elif family == "violators":
-            code = VIOLATION_CODES[seed % len(VIOLATION_CODES)]
-            yield seed, generate_violator(seed, code)
-        else:
-            yield seed, generate_model(seed, family)
+from anop.oracle import FAMILIES, TruncationProfile, attainment_oracle, seeded_models
 
 
 def main(argv=None):
@@ -45,7 +25,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     depths = [int(d) for d in args.depths.split(",") if d]
-    families = ("mixed", "violators") + FAMILIES
+    families = ("all", "violators") + FAMILIES
     failures = []
 
     print(f"{'family':<12} {'depth':>5} {'agree':>9} {'time':>8}")
@@ -54,7 +34,7 @@ def main(argv=None):
             profile = TruncationProfile(depth=depth)
             agree = 0
             start = time.perf_counter()
-            for seed, model in _models(family, args.count, args.seed):
+            for seed, _, model in seeded_models(family, args.count, args.seed):
                 verdict = classify(model)
                 probe = attainment_oracle(model, profile)
                 if verdict.is_an == probe.is_an:

@@ -10,22 +10,10 @@ nonzero if any trial fails either check.
 import argparse
 import sys
 
-from anop.decompose import (
-    decompose_positive,
-    structure_normal,
-    structure_selfadjoint,
-)
+from anop.decompose import decomposition
 from anop.errors import DimTooSmallError
 from anop.matrix import CHECK_TOL, converse_witness, realize_matrix, verify_structure
 from anop.oracle import FAMILIES, generate_model
-
-
-def _decomposition(family, model):
-    if family == "positive":
-        return decompose_positive(model)
-    if family == "selfadjoint":
-        return structure_selfadjoint(model)
-    return structure_normal(model)
 
 
 def main(argv=None):
@@ -47,7 +35,7 @@ def main(argv=None):
         worst_witness = 0.0
         for i in range(args.count):
             seed = args.seed + i
-            obj = _decomposition(family, generate_model(seed, family))
+            obj = decomposition(generate_model(seed, family))
             dim = 8 + (seed * 7) % max(1, args.max_dim - 7)
             try:
                 ro = realize_matrix(obj, dim, seed=seed + 1)

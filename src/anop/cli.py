@@ -13,6 +13,9 @@ The ANOP_TOL environment variable overrides the default tolerance of these
 commands (library calls are unaffected); a --tol flag beats the environment.
 A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
 (64), a bad ANOP_TOL a PARSE failure (1).
+
+Each command is declared once, as its row of ``_COMMANDS`` (name, help, body
+and arguments); the parser is built from that table.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from . import serialize as sz
 from .decompose import (
     PositiveTriple,
     decompose_positive,
+    decomposition,
     fredholm_report,
     gram_spectrum,
     imaginary_shift,
@@ -48,16 +52,8 @@ from .matrix import (
     realize_matrix,
     verify_structure,
 )
-from .model import MERGE_TOL, POSITIVE, classify, moduli_report
-from .oracle import (
-    FAMILIES,
-    TruncationProfile,
-    attainment_oracle,
-    generate_model,
-    generate_violator,
-    mixed_model,
-    VIOLATION_CODES,
-)
+from .model import MERGE_TOL, classify, moduli_report
+from .oracle import FAMILIES, TruncationProfile, attainment_oracle, seeded_models
 
 
 class _UsageError(Exception):
@@ -91,73 +87,6 @@ _depth = _checked(int, lambda d: d >= 2, "depth must be an integer of at least 2
 _count = _checked(int, lambda c: c >= 0, "count must be a non-negative integer")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="anop",
-                     description="absolutely norm-attaining spectrum toolkit")
-    sub = parser.add_subparsers(dest="command", metavar="command",
-                                parser_class=_Parser)
-
-    def add(name, help_, *, takes_input=True):
-        sp = sub.add_parser(name, help=help_, description=help_)
-        if takes_input:
-            sp.add_argument("input", nargs="?", default="-",
-                            help="JSON document path, or - for stdin")
-        return sp
-
-    add("classify", "decide AN membership of a spectrum model")
-    add("decompose", "canonical positive triple of an AN positive model")
-    add("recompose", "rebuild the spectrum model of a positive triple")
-    add("square", "triple of the squared operator")
-    add("sqrt", "triple of the positive square root")
-    add("invert", "arithmetic-mean form of the inverse triple")
-    add("structure", "phase-carrying decomposition of a self-adjoint or normal model")
-    add("gram", "positive model of T*T")
-    sp = add("shift", "normal model of T + i*lambda*I")
-    sp.add_argument("--shift", type=float, required=True, metavar="LAMBDA",
-                    help="imaginary shift coefficient")
-    add("fredholm", "Fredholm-type properties of a triple (or AN positive model)")
-
-    for name, help_ in (
-            ("realize", "materialize a decomposition as a finite matrix"),
-            ("verify", "realize and check the structural identities"),
-            ("blocks", "compress the realized operator onto range/kernel of F"),
-            ("invert-matrix", "blockwise inverse of a realized positive triple")):
-        sp = add(name, help_)
-        sp.add_argument("--dim", type=int, required=True, help="matrix dimension")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="conjugating unitary seed (0 keeps the diagonal)")
-        sp.add_argument("--tol", type=_tolerance, default=None,
-                        help="check tolerance")
-    sub.choices["realize"].add_argument(
-        "--verify", action="store_true",
-        help="attach a structural verification report")
-    sub.choices["blocks"].add_argument(
-        "--splitter", choices=("f", "gram"), default="f",
-        help="split by F itself or by F*F")
-
-    sp = add("polar", "polar decomposition of a matrix document")
-    sp.add_argument("--tol", type=_tolerance, default=None,
-                    help="rank cutoff tolerance")
-
-    sp = add("oracle", "independent attainment probe of a spectrum model")
-    sp.add_argument("--depth", type=_depth, default=12,
-                    help="cluster materialization depth for probing")
-    sp.add_argument("--tol", type=_tolerance, default=None,
-                    help="comparison tolerance")
-
-    sp = add("fuzz", "cross-check classifier and oracle on seeded models",
-             takes_input=False)
-    sp.add_argument("--count", type=_count, default=100, help="models to generate")
-    sp.add_argument("--family", default="all",
-                    choices=("all", "violators") + FAMILIES,
-                    help="generator family")
-    sp.add_argument("--seed", type=int, default=0, help="base seed")
-    sp.add_argument("--depth", type=_depth, default=12, help="oracle depth")
-    sp.add_argument("--tol", type=_tolerance, default=None,
-                    help="comparison tolerance")
-    return parser
-
-
 def _tol(args, default: float) -> float:
     flag = getattr(args, "tol", None)
     if flag is not None:
@@ -185,30 +114,17 @@ def _load(args):
     return data
 
 
-def _model_in(args):
-    return sz.parse_model(_load(args))
-
-
-def _triple_in(args) -> PositiveTriple:
-    return sz.parse_triple(_load(args))
-
-
-def _positive_triple_in(args) -> PositiveTriple:
+def _positive_triple(data) -> PositiveTriple:
     """Triple; a bare model is decomposed as positive (WRONG_KIND otherwise)."""
-    data = _load(args)
     if isinstance(data, dict) and "kind" in data:
         return decompose_positive(sz.parse_model(data))
     return sz.parse_triple(data)
 
 
-def _decomposition_in(args):
+def _realizable(data):
     """Triple or structure; a bare model is decomposed by kind first."""
-    data = _load(args)
     if isinstance(data, dict) and "kind" in data:
-        model = sz.parse_model(data)
-        if model.kind == POSITIVE:
-            return decompose_positive(model)
-        return structure_normal(model)
+        return decomposition(sz.parse_model(data))
     if isinstance(data, dict) and "blocks" in data:
         return sz.parse_structure(data)
     if isinstance(data, dict) and "alpha" in data:
@@ -220,49 +136,34 @@ def _decomposition_in(args):
 # command bodies
 
 
+def _chain(parse, op, payload):
+    """Command body that reports ``payload(op(parse(document)))``."""
+    return lambda args: payload(op(parse(_load(args))))
+
+
 def _cmd_classify(args):
-    model = _model_in(args)
+    model = sz.parse_model(_load(args))
     return sz.verdict_payload(classify(model), moduli_report(model))
 
 
-def _cmd_decompose(args):
-    return sz.triple_payload(decompose_positive(_model_in(args)))
-
-
-def _cmd_recompose(args):
-    return sz.model_payload(recompose(_triple_in(args)))
-
-
-def _cmd_square(args):
-    return sz.triple_payload(square_triple(_triple_in(args)))
-
-
-def _cmd_sqrt(args):
-    return sz.triple_payload(sqrt_triple(_triple_in(args)))
-
-
-def _cmd_invert(args):
-    return sz.amform_payload(invert_triple(_triple_in(args)))
-
-
-def _cmd_structure(args):
-    return sz.structure_payload(structure_normal(_model_in(args)))
-
-
-def _cmd_gram(args):
-    return sz.model_payload(gram_spectrum(_model_in(args)))
-
-
 def _cmd_shift(args):
-    return sz.model_payload(imaginary_shift(_model_in(args), args.shift))
+    return sz.model_payload(imaginary_shift(sz.parse_model(_load(args)), args.shift))
 
 
-def _cmd_fredholm(args):
-    return sz.fredholm_payload(fredholm_report(_positive_triple_in(args)))
+def _realized(args, parse=_realizable):
+    """The realize step of the four matrix commands."""
+    return realize_matrix(parse(_load(args)), args.dim, args.seed)
+
+
+def _verification(args, ro) -> dict:
+    """The check shared by ``verify`` and ``realize --verify``."""
+    report = verify_structure(ro.matrix, ro.compact, ro.finite,
+                              ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
+    return sz.verification_payload(report)
 
 
 def _cmd_realize(args):
-    ro = realize_matrix(_decomposition_in(args), args.dim, args.seed)
+    ro = _realized(args)
     result = {
         "dim": args.dim,
         "seed": args.seed,
@@ -272,24 +173,19 @@ def _cmd_realize(args):
         "matrix": sz.matrix_payload(ro.matrix),
     }
     if args.verify:
-        report = verify_structure(ro.matrix, ro.compact, ro.finite,
-                                  ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
-        result["verification"] = sz.verification_payload(report)
+        result["verification"] = _verification(args, ro)
     return result
 
 
 def _cmd_verify(args):
-    ro = realize_matrix(_decomposition_in(args), args.dim, args.seed)
-    report = verify_structure(ro.matrix, ro.compact, ro.finite,
-                              ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
-    out = sz.verification_payload(report)
+    out = _verification(args, _realized(args))
     out["dim"] = args.dim
     out["seed"] = args.seed
     return out
 
 
 def _cmd_blocks(args):
-    ro = realize_matrix(_decomposition_in(args), args.dim, args.seed)
+    ro = _realized(args)
     splitter = ro.finite
     if args.splitter == "gram":
         splitter = ro.finite.conj().T @ ro.finite
@@ -305,7 +201,7 @@ def _cmd_blocks(args):
 
 
 def _cmd_invert_matrix(args):
-    ro = realize_matrix(_positive_triple_in(args), args.dim, args.seed)
+    ro = _realized(args, _positive_triple)
     inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, CHECK_TOL))
     residual = _fro(ro.matrix @ inv - np.eye(args.dim)) / math.sqrt(args.dim)
     return {
@@ -331,21 +227,13 @@ def _cmd_polar(args):
 
 def _cmd_oracle(args):
     profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
-    return sz.oracle_payload(attainment_oracle(_model_in(args), profile))
+    return sz.oracle_payload(attainment_oracle(sz.parse_model(_load(args)), profile))
 
 
 def _cmd_fuzz(args):
     profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
     disagreements = []
-    for i in range(args.count):
-        seed = args.seed + i
-        if args.family == "all":
-            tag, model = mixed_model(seed)
-        elif args.family == "violators":
-            code = VIOLATION_CODES[seed % len(VIOLATION_CODES)]
-            tag, model = f"violator:{code}", generate_violator(seed, code)
-        else:
-            tag, model = args.family, generate_model(seed, args.family)
+    for seed, tag, model in seeded_models(args.family, args.count, args.seed):
         verdict = classify(model)
         probed = attainment_oracle(model, profile)
         if verdict.is_an != probed.is_an:
@@ -363,25 +251,83 @@ def _cmd_fuzz(args):
     }
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "decompose": _cmd_decompose,
-    "recompose": _cmd_recompose,
-    "square": _cmd_square,
-    "sqrt": _cmd_sqrt,
-    "invert": _cmd_invert,
-    "structure": _cmd_structure,
-    "gram": _cmd_gram,
-    "shift": _cmd_shift,
-    "fredholm": _cmd_fredholm,
-    "realize": _cmd_realize,
-    "verify": _cmd_verify,
-    "blocks": _cmd_blocks,
-    "invert-matrix": _cmd_invert_matrix,
-    "polar": _cmd_polar,
-    "oracle": _cmd_oracle,
-    "fuzz": _cmd_fuzz,
-}
+def _arg(*flags, **options):
+    """One argument of a command row: ``add_argument``'s flags and options."""
+    return flags, options
+
+
+def _tol_arg(help_):
+    return _arg("--tol", type=_tolerance, default=None, help=help_)
+
+
+_INPUT = (_arg("input", nargs="?", default="-",
+               help="JSON document path, or - for stdin"),)
+
+_MATRIX = _INPUT + (
+    _arg("--dim", type=int, required=True, help="matrix dimension"),
+    _arg("--seed", type=int, default=0,
+         help="conjugating unitary seed (0 keeps the diagonal)"),
+    _tol_arg("check tolerance"),
+)
+
+#: every command in ``anop --help`` order: (name, help, body, arguments)
+_COMMANDS = (
+    ("classify", "decide AN membership of a spectrum model", _cmd_classify, _INPUT),
+    ("decompose", "canonical positive triple of an AN positive model",
+     _chain(sz.parse_model, decompose_positive, sz.triple_payload), _INPUT),
+    ("recompose", "rebuild the spectrum model of a positive triple",
+     _chain(sz.parse_triple, recompose, sz.model_payload), _INPUT),
+    ("square", "triple of the squared operator",
+     _chain(sz.parse_triple, square_triple, sz.triple_payload), _INPUT),
+    ("sqrt", "triple of the positive square root",
+     _chain(sz.parse_triple, sqrt_triple, sz.triple_payload), _INPUT),
+    ("invert", "arithmetic-mean form of the inverse triple",
+     _chain(sz.parse_triple, invert_triple, sz.amform_payload), _INPUT),
+    ("structure", "phase-carrying decomposition of a self-adjoint or normal model",
+     _chain(sz.parse_model, structure_normal, sz.structure_payload), _INPUT),
+    ("gram", "positive model of T*T",
+     _chain(sz.parse_model, gram_spectrum, sz.model_payload), _INPUT),
+    ("shift", "normal model of T + i*lambda*I", _cmd_shift, _INPUT + (
+        _arg("--shift", type=float, required=True, metavar="LAMBDA",
+             help="imaginary shift coefficient"),)),
+    ("fredholm", "Fredholm-type properties of a triple (or AN positive model)",
+     _chain(_positive_triple, fredholm_report, sz.fredholm_payload), _INPUT),
+    ("realize", "materialize a decomposition as a finite matrix", _cmd_realize,
+     _MATRIX + (_arg("--verify", action="store_true",
+                     help="attach a structural verification report"),)),
+    ("verify", "realize and check the structural identities", _cmd_verify, _MATRIX),
+    ("blocks", "compress the realized operator onto range/kernel of F", _cmd_blocks,
+     _MATRIX + (_arg("--splitter", choices=("f", "gram"), default="f",
+                     help="split by F itself or by F*F"),)),
+    ("invert-matrix", "blockwise inverse of a realized positive triple",
+     _cmd_invert_matrix, _MATRIX),
+    ("polar", "polar decomposition of a matrix document", _cmd_polar,
+     _INPUT + (_tol_arg("rank cutoff tolerance"),)),
+    ("oracle", "independent attainment probe of a spectrum model", _cmd_oracle,
+     _INPUT + (_arg("--depth", type=_depth, default=12,
+                    help="cluster materialization depth for probing"),
+               _tol_arg("comparison tolerance"))),
+    ("fuzz", "cross-check classifier and oracle on seeded models", _cmd_fuzz, (
+        _arg("--count", type=_count, default=100, help="models to generate"),
+        _arg("--family", default="all", choices=("all", "violators") + FAMILIES,
+             help="generator family"),
+        _arg("--seed", type=int, default=0, help="base seed"),
+        _arg("--depth", type=_depth, default=12, help="oracle depth"),
+        _tol_arg("comparison tolerance"))),
+)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="anop",
+                     description="absolutely norm-attaining spectrum toolkit")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                parser_class=_Parser)
+    for name, help_, run, arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=help_, description=help_)
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
+        sp.set_defaults(run=run)
+    return parser
 
 
 def execute(argv, out=None, err=None) -> int:
@@ -399,7 +345,7 @@ def execute(argv, out=None, err=None) -> int:
         err.write("anop: a command is required (see anop --help)\n")
         return 64
     try:
-        result = _DISPATCH[args.command](args)
+        result = args.run(args)
     except ParseError as exc:
         out.write(sz.emit(sz.report(
             args.command, None, [{"code": "PARSE", "message": exc.message}])))

@@ -75,6 +75,14 @@ def _merged_finite_entries(entries, upper: float | None, what: str):
                  for g in close_groups(items, key=lambda it: it[0]))
 
 
+def _checked_alpha(alpha) -> float:
+    """A decomposition's alpha as a float, which must be finite and >= 0."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha < 0.0:
+        raise MalformedModelError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class PositiveTriple:
     """Spectral form of ``K - F + alpha*I``.
@@ -92,9 +100,7 @@ class PositiveTriple:
     identity_multiplicity: float  # int >= 0 or inf
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise MalformedModelError(f"alpha must be finite and >= 0, got {alpha}")
+        alpha = _checked_alpha(self.alpha)
         object.__setattr__(self, "alpha", alpha)
 
         k = self.k_entries
@@ -190,6 +196,7 @@ class StructuredDecomposition:
     kernel_multiplicity: float  # int >= 0 or inf
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _checked_alpha(self.alpha))
         for b in self.blocks:
             _as_mult(b.mult)
         _as_count(self.kernel_multiplicity, "kernel multiplicity")
@@ -363,7 +370,10 @@ def invert_triple(triple: PositiveTriple) -> AMForm:
 # self-adjoint / normal structure
 
 
-def _structure(model: SpectrumModel) -> StructuredDecomposition:
+def structure_normal(model: SpectrumModel) -> StructuredDecomposition:
+    """Structured decomposition of a model of any kind, with the unit-complex
+    phase ``value / |value|`` per eigenvalue; zero eigenvalues form the
+    kernel block where K, F and V all vanish."""
     alpha, split = _split(model)
     blocks = [Block(p.value / abs(p.value), part, value, p.mult)
               for p, part, value in split if abs(p.value) > MERGE_TOL]
@@ -374,18 +384,20 @@ def _structure(model: SpectrumModel) -> StructuredDecomposition:
 
 
 def structure_selfadjoint(model: SpectrumModel) -> StructuredDecomposition:
-    """Structured decomposition with phases +1/-1; zero eigenvalues form the
-    kernel block where K, F and V all vanish."""
+    """:func:`structure_normal` of a self-adjoint (or positive) model, whose
+    phases are +1/-1."""
     if model.kind not in (SELF_ADJOINT, POSITIVE):
         raise WrongKindError(
             f"self-adjoint structure needs a self-adjoint model, got {model.kind!r}")
-    return _structure(model)
+    return structure_normal(model)
 
 
-def structure_normal(model: SpectrumModel) -> StructuredDecomposition:
-    """As :func:`structure_selfadjoint` with unit-complex phases
-    ``value / |value|`` per eigenvalue; every kind qualifies."""
-    return _structure(model)
+def decomposition(model: SpectrumModel) -> PositiveTriple | StructuredDecomposition:
+    """The model's decomposition by kind: the canonical triple of a positive
+    model, :func:`structure_normal` of any other."""
+    if model.kind == POSITIVE:
+        return decompose_positive(model)
+    return structure_normal(model)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,7 @@ def _subset_scan(attained, unattained, tol: float):
     return (1 << g) - 1, markers
 
 
-def _mixing_refutes(a_base, a_dir, a_mags, b_base, b_dir, b_mags,
-                    depth: int, tol: float):
+def _mixing_refutes(a_base, a_mags, b_base, b_mags, depth: int, tol: float):
     """Probe the two-point mixing subspace for essential values a < b.
 
     Vectors v_n = cos(t_n) e_a^n + sin(t_n) e_b^n with weights chosen so the
@@ -219,8 +218,7 @@ def attainment_oracle(model: SpectrumModel,
             a_item = groups[i][0]
             b_item = b_items[0]
             pairs += 1
-            climbed = _mixing_refutes(a_item[0], a_item[1], a_item[2],
-                                      b_item[0], b_item[1], b_item[2],
+            climbed = _mixing_refutes(a_item[0], a_item[2], b_item[0], b_item[2],
                                       prof.depth, tol)
             if climbed is not None:
                 failures.append(OracleFailure(
@@ -461,6 +459,21 @@ def mixed_model(seed: int):
     if family == "violator":
         return f"violator:{code}", generate_violator(seed, code)
     return family, generate_model(seed, family)
+
+
+def seeded_models(family: str, count: int, base_seed: int = 0):
+    """``(seed, tag, model)`` for ``count`` seeds from ``base_seed``: the
+    mixed cycle for "all", each violation code in turn for "violators", or
+    one of :data:`FAMILIES`; the tag names the family or violation."""
+    for seed in range(base_seed, base_seed + count):
+        if family == "all":
+            tag, model = mixed_model(seed)
+        elif family == "violators":
+            code = VIOLATION_CODES[seed % len(VIOLATION_CODES)]
+            tag, model = f"violator:{code}", generate_violator(seed, code)
+        else:
+            tag, model = family, generate_model(seed, family)
+        yield seed, tag, model
 
 
 def generate_violator(seed: int, code: str) -> SpectrumModel:

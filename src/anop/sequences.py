@@ -98,13 +98,11 @@ class DecaySequence:
                 raise MalformedModelError(f"geometric first term {self.first} must be > 0")
             if not (0.0 < self.ratio < 1.0):
                 raise MalformedModelError(f"geometric ratio {self.ratio} must lie in (0, 1)")
-            if self.terminating:
-                object.__setattr__(self, "terminating", False)
+            object.__setattr__(self, "terminating", False)
         elif self.kind == HARMONIC:
             if not (math.isfinite(self.scale) and self.scale > 0.0):
                 raise MalformedModelError(f"harmonic scale {self.scale} must be > 0")
-            if self.terminating:
-                object.__setattr__(self, "terminating", False)
+            object.__setattr__(self, "terminating", False)
         else:
             raise MalformedModelError(f"unknown delta sequence kind {self.kind!r}")
 

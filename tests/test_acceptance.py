@@ -16,12 +16,12 @@ import pytest
 from anop.cli import execute
 from anop.decompose import (
     decompose_positive,
+    decomposition,
     gram_spectrum,
     invert_triple,
     recompose,
     sqrt_triple,
     square_triple,
-    structure_normal,
     structure_selfadjoint,
 )
 from anop.errors import DimTooSmallError
@@ -57,14 +57,6 @@ def _realize(obj, dim: int, seed: int):
         return realize_matrix(obj, dim, seed)
     except DimTooSmallError:
         return realize_matrix(obj, 64, seed)
-
-
-def _decomposition(family: str, model):
-    if family == "positive":
-        return decompose_positive(model)
-    if family == "selfadjoint":
-        return structure_selfadjoint(model)
-    return structure_normal(model)
 
 
 def test_01_classifier_oracle_agreement():
@@ -166,7 +158,7 @@ def test_06_matrix_verification():
     bad = 0
     for i in range(100):
         family = FAMILIES[i % len(FAMILIES)]
-        obj = _decomposition(family, generate_model(i, family))
+        obj = decomposition(generate_model(i, family))
         ro = _realize(obj, 8 + (i * 7) % 57, seed=i + 1)
         rep = verify_structure(ro.matrix, ro.compact, ro.finite,
                                ro.isometry, ro.alpha, tol=1e-10)
@@ -268,7 +260,7 @@ def test_10_converse_witness():
     worst_identity = 0.0
     for i in range(100):
         family = FAMILIES[i % len(FAMILIES)]
-        obj = _decomposition(family, generate_model(i, family))
+        obj = decomposition(generate_model(i, family))
         ro = _realize(obj, 8 + (i * 5) % 57, seed=i + 1)
         rep = converse_witness(ro.compact, ro.finite, ro.isometry, ro.alpha)
         worst_identity = max(worst_identity, rep.identity_residual)

@@ -1,7 +1,9 @@
+import argparse
 import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import anop
+from anop import cli
 from anop.cli import execute
 from anop.model import normalize_model
 import anop.serialize as sz
@@ -107,6 +110,26 @@ def test_usage_errors_exit_sixtyfour():
 def test_help_exits_zero():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+def _subcommands():
+    """The subcommand names, in the parser's order."""
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_readme_names_exactly_the_parsers_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"\nCommands: (.*?)\.\s", readme, re.DOTALL).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == _subcommands()
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_every_subcommand_help_exits_zero(command, capsys):
+    code, _, _ = run_cli([command, "--help"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"usage: anop {command} ")
 
 
 def test_pipe_decompose_into_recompose(monkeypatch):
@@ -244,6 +267,20 @@ def test_structure_with_negative_multiplicity_is_malformed(block_mult, kernel, m
     assert env["result"] is None
 
 
+@pytest.mark.parametrize("command", ["realize", "verify"])
+@pytest.mark.parametrize("alpha", ["-1.0", "1e400"], ids=["negative", "overflowing"])
+def test_structure_with_bad_alpha_is_malformed(command, alpha, monkeypatch):
+    # alpha is checked when the structure is built, with the triple's rule
+    doc = ('{"alpha": %s, "blocks": [{"phase": [1, 0], "part": "f", "value": 0.5,'
+           ' "mult": 1}], "clusters": [], "kernel_multiplicity": 0}' % alpha)
+    code, out, _ = run_cli([command, "-", "--dim", "2"], stdin_text=doc,
+                           monkeypatch=monkeypatch)
+    assert code == 2
+    env = json.loads(out)
+    assert env["diagnostics"][0]["code"] == "MALFORMED"
+    assert env["result"] is None
+
+
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):
     doc = ('{"alpha":1.0,"k":{"kind":"positive","points":[{"value":2.0,"mult":0}]},'
            '"f":"not a list"}')
@@ -266,13 +303,13 @@ def test_invert_matrix_reads_model_or_triple(monkeypatch):
             == json.loads(direct)["result"]["residual"])
 
 
-def run_module(argv, stdin_text=None, extra_env=None, preexec_fn=None):
-    """Run ``python -m anop`` as a child process on the same ``anop``
-    package as this process, whether or not it is installed."""
+def run_module(argv, stdin_text=None, extra_env=None, preexec_fn=None, module="anop"):
+    """Run ``python -m anop`` (or another ``module``) as a child process on
+    the same ``anop`` package as this process, whether or not it is installed."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "anop", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           input=stdin_text, capture_output=True, text=True,
                           env=env, preexec_fn=preexec_fn)
 
@@ -288,6 +325,15 @@ def test_console_script_reads_stdin():
     proc = run_module(["structure", "-"], stdin_text=doc)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "structure_selfadjoint.json").read_text()
+
+
+def test_cli_module_runs_as_main():
+    # the benchmark's cli workload spawns `python -m anop.cli`
+    argv = ["classify", str(SPECS / "positive_tail.json")]
+    direct = run_module(argv, module="anop.cli")
+    assert direct.returncode == 0, direct.stderr
+    assert direct.stdout == run_module(argv).stdout
+    assert direct.stdout == (GOLDEN / "classify_positive_tail.json").read_text()
 
 
 def test_console_script_entry_point_is_cli_main():
