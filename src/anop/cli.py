@@ -21,6 +21,7 @@ and arguments); the parser is built from that table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -335,7 +336,8 @@ def execute(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help prints to sys.stdout
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         err.write(f"anop: {exc}\n")
         return 64

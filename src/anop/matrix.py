@@ -11,6 +11,14 @@ results, for the high relative accuracy of Jacobi methods (Demmel and
 Veselic, 1992); numpy's LAPACK routines appear solely in test oracles.  The
 kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
 (1985) round-robin order, whose rounds of disjoint rotations vectorize.
+
+Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
+once, cold; every later solve (K, F or ``F*F``, the splitter, the two
+witness parts) runs Jacobi on ``Q* X Q`` in the eigenvectors ``Q`` of that
+solve.  The components of a canonical realization are diagonal in that
+basis, so those solves mostly take no sweep.  The stopping test is the
+same as for a cold solve, so a basis that fits ``X`` poorly costs sweeps,
+not accuracy.
 """
 
 from __future__ import annotations
@@ -207,6 +215,19 @@ def _fro(a) -> float:
     return math.sqrt(float(np.sum(np.abs(a) ** 2)))
 
 
+def _hermitian_input(a) -> np.ndarray:
+    """The eigensolver's input checks: ``a`` square, at most MAX_DIM and
+    Hermitian to working precision; returns its Hermitian part."""
+    m = _as_square(a, "eigensolver input")
+    n = m.shape[0]
+    if n > MAX_DIM:
+        raise DimTooLargeError(f"dimension {n} exceeds the solver cap {MAX_DIM}")
+    scale = max(_fro(m), 1.0)
+    if _fro(m - m.conj().T) > 1e-10 * scale:
+        raise NotHermitianError("eigensolver input is not Hermitian")
+    return (m + m.conj().T) / 2.0
+
+
 def hermitian_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by round-robin
     (parallel-order) Jacobi.
@@ -215,14 +236,8 @@ def hermitian_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     precision, DimTooLargeError beyond MAX_DIM, and NoConvergenceError if
     the off-diagonal mass survives ``max_sweeps`` sweeps.
     """
-    m = _as_square(a, "eigensolver input")
-    n = m.shape[0]
-    if n > MAX_DIM:
-        raise DimTooLargeError(f"dimension {n} exceeds the solver cap {MAX_DIM}")
-    scale = max(_fro(m), 1.0)
-    if _fro(m - m.conj().T) > 1e-10 * scale:
-        raise NotHermitianError("eigensolver input is not Hermitian")
-    work = np.ascontiguousarray((m + m.conj().T) / 2.0)
+    work = np.ascontiguousarray(_hermitian_input(a))
+    n = work.shape[0]
     basis = np.eye(n, dtype=np.complex128)
     sweeps = _jacobi_sweeps(work, basis, int(max_sweeps))
     if sweeps < 0:
@@ -231,6 +246,22 @@ def hermitian_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     values = np.real(np.diag(work)).copy()
     order = np.argsort(values, kind="stable")
     return EigenDecomposition(values[order], basis[:, order], int(sweeps))
+
+
+def _eigen(a, basis) -> EigenDecomposition:
+    """:func:`hermitian_eigen` of ``a``, started in the orthonormal ``basis``
+    unless it is None.
+
+    The input checks run on ``a`` itself.  Jacobi then runs on
+    ``basis* a basis``, and its eigenvectors come back through ``basis``,
+    which is Jacobi with the accumulated basis started at ``basis``.  The
+    solve goes through :func:`hermitian_eigen`, so a trace of that function
+    sees every solve and its sweeps.
+    """
+    if basis is None:
+        return hermitian_eigen(a)
+    eig = hermitian_eigen(basis.conj().T @ _hermitian_input(a) @ basis)
+    return EigenDecomposition(eig.values, basis @ eig.vectors, eig.sweeps)
 
 
 def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
@@ -545,7 +576,12 @@ def converse_witness(k, f, v, alpha: float, t=None,
     tm = _as_square(t, "operator") if t is not None else km - fm + alpha * vm
     if tm.shape != km.shape:
         raise ShapeMismatchError("operator shape does not match components")
+    return _witness(km, fm, vm, alpha, tm, tol, None)
 
+
+def _witness(km, fm, vm, alpha: float, tm, tol: float, basis) -> WitnessReport:
+    """:func:`converse_witness` of checked square matrices, with both script
+    parts eigensolved in ``basis`` (see :func:`_eigen`)."""
     kh = km.conj().T
     fh = fm.conj().T
     vh = vm.conj().T
@@ -559,8 +595,8 @@ def converse_witness(k, f, v, alpha: float, t=None,
 
     script_k = (script_k + script_k.conj().T) / 2.0
     script_f = (script_f + script_f.conj().T) / 2.0
-    k_min = float(hermitian_eigen(script_k).values[0])
-    f_min = float(hermitian_eigen(script_f).values[0])
+    k_min = float(_eigen(script_k, basis).values[0])
+    f_min = float(_eigen(script_f, basis).values[0])
     an_predicted = (identity_residual <= 10.0 * tol
                     and iso_defect <= 10.0 * tol
                     and k_min >= -tol * scale
@@ -578,6 +614,10 @@ def verify_structure(t, k, f, v, alpha: float,
     V a partial isometry and ``F*F <= alpha**2*I`` instead.  Both modes
     check ``KF = 0`` in all adjoint placements, that the range/kernel
     splitting of F reduces T, and the converse witness positivity.
+
+    Only ``T*T`` is eigensolved cold; K, F or ``F*F``, the splitter and
+    the witness parts are eigensolved in its eigenvector basis, in which a
+    canonical decomposition is already diagonal.
     """
     tm = _as_square(t, "operator")
     km = _as_square(k, "compact part")
@@ -600,33 +640,36 @@ def verify_structure(t, k, f, v, alpha: float,
              _fro(km @ fm.conj().T)) / (k_scale * f_scale)
     k_herm = _fro(km - km.conj().T) / k_scale
     f_herm = _fro(fm - fm.conj().T) / f_scale
-    normality = _fro(tm.conj().T @ tm - tm @ tm.conj().T) / (scale * scale)
+    gram = tm.conj().T @ tm
+    normality = _fro(gram - tm @ tm.conj().T) / (scale * scale)
     vv = vm.conj().T @ vm
     iso = _fro(vv @ vv - vv) / max(_fro(vv), 1.0)
 
-    # the splitter is F when F is Hermitian, else F*F; its one
-    # eigendecomposition serves the bounds below and the block form
+    # T*T is the one cold eigensolve; every later solve starts in its
+    # eigenvectors q.  The splitter is F when F is Hermitian, else F*F; its
+    # one eigendecomposition serves the bounds below and the block form
+    q = hermitian_eigen(gram).vectors
     k_psd = f_psd = f_bound = 0.0
     split_eig = None
     if positive_mode:
         if k_herm <= tol:
-            k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2).values[0])) / k_scale
+            k_psd = max(0.0, -float(_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
         if f_herm <= tol:
-            split_eig = hermitian_eigen(fm)
+            split_eig = _eigen(fm, q)
             f_psd = max(0.0, -float(split_eig.values[0])) / f_scale
             f_bound = max(0.0, float(split_eig.values[-1]) - alpha) / max(alpha, 1.0)
-        witness_src = converse_witness(km, fm, np.eye(n, dtype=np.complex128),
-                                       alpha, tm, tol)
+        witness_src = _witness(km, fm, np.eye(n, dtype=np.complex128),
+                               alpha, tm, tol, q)
     else:
-        ff_eig = hermitian_eigen(fm.conj().T @ fm)
+        ff_eig = _eigen(fm.conj().T @ fm, q)
         f_bound = (max(0.0, float(ff_eig.values[-1]) - alpha * alpha)
                    / max(alpha * alpha, 1.0))
         if f_herm > tol:
             split_eig = ff_eig
-        witness_src = converse_witness(km, fm, vm, alpha, tm, tol)
+        witness_src = _witness(km, fm, vm, alpha, tm, tol, q)
 
     if split_eig is None:
-        split_eig = hermitian_eigen(fm if f_herm <= tol else fm.conj().T @ fm)
+        split_eig = _eigen(fm if f_herm <= tol else fm.conj().T @ fm, q)
     off = _block_form(tm, split_eig, tol).off_diagonal_norm / scale
 
     checks = [

@@ -108,8 +108,9 @@ def test_usage_errors_exit_sixtyfour():
 
 
 def test_help_exits_zero():
-    code, _, _ = run_cli(["--help"])
+    code, out, _ = run_cli(["--help"])
     assert code == 0
+    assert out.startswith("usage: anop ")
 
 
 def _subcommands():
@@ -127,9 +128,10 @@ def test_readme_names_exactly_the_parsers_commands():
 
 @pytest.mark.parametrize("command", _subcommands())
 def test_every_subcommand_help_exits_zero(command, capsys):
-    code, _, _ = run_cli([command, "--help"])
+    code, out, _ = run_cli([command, "--help"])
     assert code == 0
-    assert capsys.readouterr().out.startswith(f"usage: anop {command} ")
+    assert out.startswith(f"usage: anop {command} ")
+    assert capsys.readouterr().out == ""
 
 
 def test_pipe_decompose_into_recompose(monkeypatch):
@@ -279,6 +281,15 @@ def test_structure_with_bad_alpha_is_malformed(command, alpha, monkeypatch):
     env = json.loads(out)
     assert env["diagnostics"][0]["code"] == "MALFORMED"
     assert env["result"] is None
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, _ = run_cli(["classify", str(path)])
+    assert code == 1
+    [line] = out.splitlines()
+    assert json.loads(line)["diagnostics"][0]["code"] == "PARSE"
 
 
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):

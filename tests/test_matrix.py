@@ -413,28 +413,31 @@ def test_verify_flags_non_psd_compact_part():
 
 
 def _count_eigensolves(monkeypatch):
+    """Every ``hermitian_eigen`` call as ``(input, result)``, in call order."""
     calls = []
     real = anop.matrix.hermitian_eigen
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        eig = real(a, *args, **kwargs)
+        calls.append((a, eig))
+        return eig
 
     monkeypatch.setattr(anop.matrix, "hermitian_eigen", counting)
     return calls
 
 
-def test_verify_positive_mode_eigensolves_f_once(monkeypatch):
+def test_verify_positive_mode_sweeps_only_the_basis_solve(monkeypatch):
     ro = realize_matrix(full_triple(), dim=10, seed=3)
     calls = _count_eigensolves(monkeypatch)
     rep = verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry,
                            ro.alpha)
     assert rep.ok and rep.mode == "positive"
-    # K, F (shared with the block form) and the two witness parts
-    assert len(calls) == 4
+    # T*T cold; K, F (shared with the block form) and the two witness parts
+    # start in its basis, where they are already diagonal
+    assert [eig.sweeps > 0 for _, eig in calls] == [True, False, False, False, False]
 
 
-def test_verify_polar_mode_reuses_gram_of_non_hermitian_f(monkeypatch):
+def test_verify_polar_mode_sweeps_only_the_basis_solve(monkeypatch):
     m = SpectrumModel(NORMAL, (EigenvalueEntry(2.0 + 0j, INF),
                                EigenvalueEntry(1j, 1),
                                EigenvalueEntry(3j, 1)))
@@ -444,8 +447,25 @@ def test_verify_polar_mode_reuses_gram_of_non_hermitian_f(monkeypatch):
     rep = verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry,
                            ro.alpha)
     assert rep.ok and rep.mode == "polar"
-    # F*F (shared with the block form) and the two witness parts
-    assert len(calls) == 3
+    # T*T cold; F*F (shared with the block form) and the two witness parts
+    # start in its basis
+    assert [eig.sweeps > 0 for _, eig in calls] == [True, False, False, False]
+
+
+def test_verify_warm_started_psd_defect_matches_lapack(monkeypatch):
+    ro = realize_matrix(full_triple(), dim=12, seed=5)
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    w /= np.linalg.norm(w)
+    k = ro.compact - (1.0 + np.linalg.norm(ro.compact)) * np.outer(w, w.conj())
+    calls = _count_eigensolves(monkeypatch)
+    rep = verify_structure(ro.matrix, k, ro.finite, ro.isometry, ro.alpha)
+    assert not rep.ok and "k_positive" in rep.failures
+    # the corrupted K is not diagonal in the basis of T*T: its solve sweeps
+    assert calls[1][1].sweeps > 0
+    want = -np.linalg.eigvalsh(k)[0] / np.linalg.norm(k)
+    assert want > 0.1
+    assert abs(rep.k_psd_defect - want) <= 1e-12 * want
 
 
 def test_verify_rejects_non_hermitian_f_under_loose_tol():
