@@ -15,7 +15,10 @@ A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
 (64), a bad ANOP_TOL a PARSE failure (1).
 
 Each command is declared once, as its row of ``_COMMANDS`` (name, help, body
-and arguments); the parser is built from that table.
+and arguments); the parser is built from that table.  The bodies of the
+matrix commands (realize, verify, blocks, invert-matrix, polar) and of
+oracle and fuzz import ``anop.matrix`` or ``anop.oracle`` when they run, so
+the other twelve commands never load numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import contextlib
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import serialize as sz
 from .decompose import (
@@ -43,18 +44,7 @@ from .decompose import (
     structure_normal,
 )
 from .errors import AnopError, ParseError
-from .matrix import (
-    CHECK_TOL,
-    POLAR_TOL,
-    _fro,
-    block_form,
-    inverse_via_blocks,
-    polar_decompose,
-    realize_matrix,
-    verify_structure,
-)
-from .model import MERGE_TOL, classify, moduli_report
-from .oracle import FAMILIES, TruncationProfile, attainment_oracle, seeded_models
+from .model import KINDS, MERGE_TOL, classify, moduli_report
 
 
 class _UsageError(Exception):
@@ -153,11 +143,13 @@ def _cmd_shift(args):
 
 def _realized(args, parse=_realizable):
     """The realize step of the four matrix commands."""
+    from .matrix import realize_matrix
     return realize_matrix(parse(_load(args)), args.dim, args.seed)
 
 
 def _verification(args, ro) -> dict:
     """The check shared by ``verify`` and ``realize --verify``."""
+    from .matrix import CHECK_TOL, verify_structure
     report = verify_structure(ro.matrix, ro.compact, ro.finite,
                               ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
     return sz.verification_payload(report)
@@ -186,6 +178,7 @@ def _cmd_verify(args):
 
 
 def _cmd_blocks(args):
+    from .matrix import CHECK_TOL, block_form
     ro = _realized(args)
     splitter = ro.finite
     if args.splitter == "gram":
@@ -202,6 +195,8 @@ def _cmd_blocks(args):
 
 
 def _cmd_invert_matrix(args):
+    import numpy as np
+    from .matrix import CHECK_TOL, _fro, inverse_via_blocks
     ro = _realized(args, _positive_triple)
     inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, CHECK_TOL))
     residual = _fro(ro.matrix @ inv - np.eye(args.dim)) / math.sqrt(args.dim)
@@ -214,6 +209,7 @@ def _cmd_invert_matrix(args):
 
 
 def _cmd_polar(args):
+    from .matrix import POLAR_TOL, _fro, polar_decompose
     data = _load(args)
     raw = data.get("matrix") if isinstance(data, dict) else data
     m = sz.parse_matrix(raw)
@@ -227,11 +223,13 @@ def _cmd_polar(args):
 
 
 def _cmd_oracle(args):
+    from .oracle import TruncationProfile, attainment_oracle
     profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
     return sz.oracle_payload(attainment_oracle(sz.parse_model(_load(args)), profile))
 
 
 def _cmd_fuzz(args):
+    from .oracle import TruncationProfile, attainment_oracle, seeded_models
     profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
     disagreements = []
     for seed, tag, model in seeded_models(args.family, args.count, args.seed):
@@ -310,7 +308,7 @@ _COMMANDS = (
                _tol_arg("comparison tolerance"))),
     ("fuzz", "cross-check classifier and oracle on seeded models", _cmd_fuzz, (
         _arg("--count", type=_count, default=100, help="models to generate"),
-        _arg("--family", default="all", choices=("all", "violators") + FAMILIES,
+        _arg("--family", default="all", choices=("all", "violators") + KINDS,
              help="generator family"),
         _arg("--seed", type=int, default=0, help="base seed"),
         _arg("--depth", type=_depth, default=12, help="oracle depth"),

@@ -407,9 +407,13 @@ def decomposition(model: SpectrumModel) -> PositiveTriple | StructuredDecomposit
 def gram_spectrum(model: SpectrumModel) -> SpectrumModel:
     """Positive model of ``T*T``: values squared in modulus.  AN membership
     is preserved (it is decided on the modulus spectrum, and squaring is
-    strictly monotone on moduli)."""
-    points = tuple(EigenvalueEntry(complex(abs(p.value) ** 2, 0.0), p.mult)
-                   for p in model.points)
+    strictly monotone on moduli).  A square too large for a float is
+    MALFORMED, as a non-finite value of a model is."""
+    try:
+        points = tuple(EigenvalueEntry(complex(abs(p.value) ** 2, 0.0), p.mult)
+                       for p in model.points)
+    except OverflowError:
+        raise MalformedModelError("a squared modulus overflows a float") from None
     mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2) for cl in model.clusters)
     return SpectrumModel(POSITIVE, points, tuple(cl for cl in mapped if cl is not None))
 

@@ -64,6 +64,8 @@ def _as_value(value, kind: str) -> complex:
         v = complex(v.real, 0.0)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise MalformedModelError(f"spectral value {v} is not finite")
+    if math.isinf(math.hypot(v.real, v.imag)):
+        raise MalformedModelError(f"the modulus of spectral value {v} overflows a float")
     return v
 
 
@@ -258,10 +260,15 @@ def mapped_cluster(cl: Cluster, fn) -> Cluster | None:
     from the image of the limit, the side is read off the first offset, and
     the longest strictly decreasing prefix of the offset sizes is stored as
     an explicit sequence, non-terminating as every cluster of a built model
-    is.  None when no offset survives the prefix cut.
+    is.  None when no offset survives the prefix cut.  An image too large
+    for a float is a non-finite spectral value: MALFORMED, as for a model.
     """
-    base = fn(cl.limit)
-    diffs = [fn(m) - base for m in cl.members(MATERIALIZE_DEPTH)]
+    try:
+        base = fn(cl.limit)
+        diffs = [fn(m) - base for m in cl.members(MATERIALIZE_DEPTH)]
+    except OverflowError:
+        raise MalformedModelError(
+            f"image of the cluster at {cl.limit} overflows a float") from None
     mags = descending_prefix(abs(d) for d in diffs)
     if not mags:
         return None

@@ -23,8 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
+from .errors import MalformedModelError
 from .model import (
     ABOVE,
     BELOW,
@@ -187,7 +186,12 @@ def attainment_oracle(model: SpectrumModel,
         if p.is_infinite():
             essential.append((abs(p.value), "flat", None))
     for cl in model.clusters:
-        mags = [abs(m) for m in cl.members(deep)]
+        try:
+            mags = [abs(m) for m in cl.members(deep)]
+        except OverflowError:
+            raise MalformedModelError(
+                f"a member of the cluster at {cl.limit} has a modulus that overflows a float"
+            ) from None
         base = abs(cl.limit)
         attained.extend(mags[: prof.depth])
         if mags[0] > base + tol:
@@ -251,6 +255,7 @@ def rank_perturbation_check(base, perturbed, rank_bound: int) -> PerturbationRep
     N_A(x) and N_B(x) can differ by at most r at every x.  The comparison
     runs on a uniform grid over [min - 1, max + 1] of the joint spectrum.
     """
+    import numpy as np
     a = np.asarray(base, dtype=np.complex128)
     b = np.asarray(perturbed, dtype=np.complex128)
     va = np.linalg.eigvalsh(a)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .decompose import (
     AMForm,
     Block,
@@ -37,7 +35,6 @@ from .model import (
     ANVerdict,
     SpectrumModel,
 )
-from .oracle import OracleReport, PerturbationReport
 from .sequences import EXPLICIT, GEOMETRIC, HARMONIC, DecaySequence
 
 SCHEMA_VERSION = "1"
@@ -273,6 +270,7 @@ def matrix_payload(m) -> list:
     :func:`_scrub` scrubs one number: every part is a float, ``-0.0`` comes
     out as ``0.0``, and a NaN or infinite part raises :class:`ParseError`
     naming the first one in row-major order (real part first)."""
+    import numpy as np
     a = np.ascontiguousarray(m, dtype=np.complex128)
     parts = a.view(np.float64).reshape(a.shape + (2,)) + 0.0
     finite = np.isfinite(parts)
@@ -282,6 +280,7 @@ def matrix_payload(m) -> list:
 
 
 def parse_matrix(obj):
+    import numpy as np
     if not isinstance(obj, list) or not obj:
         raise ParseError("matrix must be a nonempty list of rows")
     rows = []
@@ -321,7 +320,7 @@ def fredholm_payload(report: FredholmReport) -> dict:
     }
 
 
-def oracle_payload(report: OracleReport) -> dict:
+def oracle_payload(report) -> dict:
     return {
         "is_an": report.is_an,
         "failures": [{"kind": f.kind,
@@ -332,7 +331,7 @@ def oracle_payload(report: OracleReport) -> dict:
     }
 
 
-def perturbation_payload(report: PerturbationReport) -> dict:
+def perturbation_payload(report) -> dict:
     return {
         "within_bound": report.within_bound,
         "max_count_gap": report.max_count_gap,

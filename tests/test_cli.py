@@ -292,6 +292,40 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path):
     assert json.loads(line)["diagnostics"][0]["code"] == "PARSE"
 
 
+#: documents whose image under a command's spectral map overflows a float
+OVERFLOW_CASES = [
+    # gram squares the members 2 + 1e308/n of the cluster
+    ("gram", '{"kind":"positive","points":[{"value":1.0,"mult":1}],"clusters":['
+             '{"limit":2.0,"side":"above","deltas":{"kind":"harmonic","scale":1e308}}]}'),
+    # gram squares the point's modulus
+    ("gram", '{"kind":"positive","points":[{"value":1e200,"mult":1}]}'),
+    # classify, structure and oracle take the modulus of each member 1.2e308(1+i) + d
+    ("classify", '{"kind":"normal","points":[{"value":[1.0,0.0],"mult":1}],"clusters":['
+                 '{"limit":[1.2e308,1.2e308],"side":"above",'
+                 '"deltas":{"kind":"geometric","first":5e307,"ratio":0.5}}]}'),
+    ("structure", '{"kind":"normal","clusters":[{"limit":[1.2e308,1.2e308],'
+                  '"side":"above","deltas":{"kind":"harmonic","scale":5e307}}]}'),
+    ("oracle", '{"kind":"normal","clusters":[{"limit":[1.2e308,1.2e308],'
+               '"side":"above","deltas":{"kind":"harmonic","scale":5e307}}]}'),
+    # a value whose modulus is beyond the largest float is refused as it is read
+    ("classify", '{"kind":"normal","points":[{"value":[1.5e308,1.5e308],"mult":1}]}'),
+    ("oracle", '{"kind":"normal","clusters":[{"limit":[1.5e308,1.5e308],'
+               '"side":"above","deltas":{"kind":"harmonic","scale":1.0}}]}'),
+]
+
+
+@pytest.mark.parametrize("command,doc", OVERFLOW_CASES,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(OVERFLOW_CASES)])
+def test_overflowing_image_is_a_malformed_diagnostic(command, doc, monkeypatch):
+    code, out, _ = run_cli([command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 2
+    [line] = out.splitlines()
+    env = json.loads(line)
+    assert env["result"] is None
+    assert env["diagnostics"][0]["code"] == "MALFORMED"
+    assert "overflows" in env["diagnostics"][0]["message"]
+
+
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):
     doc = ('{"alpha":1.0,"k":{"kind":"positive","points":[{"value":2.0,"mult":0}]},'
            '"f":"not a list"}')
