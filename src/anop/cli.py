@@ -152,7 +152,7 @@ def _verification(args, ro) -> dict:
     from .matrix import CHECK_TOL, verify_structure
     report = verify_structure(ro.matrix, ro.compact, ro.finite,
                               ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
-    return sz.verification_payload(report)
+    return sz.encoded(report)
 
 
 def _cmd_realize(args):
@@ -184,14 +184,7 @@ def _cmd_blocks(args):
     if args.splitter == "gram":
         splitter = ro.finite.conj().T @ ro.finite
     bf = block_form(ro.matrix, splitter, _tol(args, CHECK_TOL))
-    return {
-        "splitter": args.splitter,
-        "range_dim": bf.range_dim,
-        "kernel_dim": bf.kernel_dim,
-        "off_diagonal_norm": sz._scrub(bf.off_diagonal_norm),
-        "on_range": sz.matrix_payload(bf.on_range),
-        "on_kernel": sz.matrix_payload(bf.on_kernel),
-    }
+    return {"splitter": args.splitter, **sz.encoded(bf)}
 
 
 def _cmd_invert_matrix(args):
@@ -215,17 +208,13 @@ def _cmd_polar(args):
     m = sz.parse_matrix(raw)
     pair = polar_decompose(m, _tol(args, POLAR_TOL))
     residual = _fro(m - pair.isometry @ pair.modulus) / max(_fro(m), 1.0)
-    return {
-        "residual": sz._scrub(residual),
-        "isometry": sz.matrix_payload(pair.isometry),
-        "modulus": sz.matrix_payload(pair.modulus),
-    }
+    return {"residual": sz._scrub(residual), **sz.encoded(pair)}
 
 
 def _cmd_oracle(args):
     from .oracle import TruncationProfile, attainment_oracle
     profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
-    return sz.oracle_payload(attainment_oracle(sz.parse_model(_load(args)), profile))
+    return sz.encoded(attainment_oracle(sz.parse_model(_load(args)), profile))
 
 
 def _cmd_fuzz(args):

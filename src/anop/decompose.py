@@ -318,8 +318,7 @@ def _map_k_model(k: SpectrumModel, fn):
     ``(points, clusters)``, one image per source entry, unmerged."""
     points = tuple(EigenvalueEntry(complex(fn(p.value.real), 0.0), p.mult)
                    for p in k.points)
-    mapped = (mapped_cluster(cl, lambda z: fn(z.real)) for cl in k.clusters)
-    return points, tuple(cl for cl in mapped if cl is not None)
+    return points, tuple(mapped_cluster(cl, lambda z: fn(z.real)) for cl in k.clusters)
 
 
 def square_triple(triple: PositiveTriple) -> PositiveTriple:
@@ -414,8 +413,8 @@ def gram_spectrum(model: SpectrumModel) -> SpectrumModel:
                        for p in model.points)
     except OverflowError:
         raise MalformedModelError("a squared modulus overflows a float") from None
-    mapped = (mapped_cluster(cl, lambda z: abs(z) ** 2) for cl in model.clusters)
-    return SpectrumModel(POSITIVE, points, tuple(cl for cl in mapped if cl is not None))
+    clusters = tuple(mapped_cluster(cl, lambda z: abs(z) ** 2) for cl in model.clusters)
+    return SpectrumModel(POSITIVE, points, clusters)
 
 
 def adjoint_spectrum(model: SpectrumModel) -> SpectrumModel:

@@ -143,7 +143,6 @@ class BlockForm:
     off_diagonal_norm: float
     range_dim: int
     kernel_dim: int
-    basis: np.ndarray
 
 
 @dataclass(eq=False)
@@ -513,7 +512,7 @@ def _block_form(t, eig: EigenDecomposition, tol: float) -> BlockForm:
     basis = eig.vectors[:, order]
     b = basis.conj().T @ t @ basis
     off = max(_fro(b[:r, r:]), _fro(b[r:, :r]))
-    return BlockForm(b[:r, :r], b[r:, r:], off, r, t.shape[0] - r, basis)
+    return BlockForm(b[:r, :r], b[r:, r:], off, r, t.shape[0] - r)
 
 
 def inverse_via_blocks(k, f, alpha: float, tol: float = CHECK_TOL) -> np.ndarray:

@@ -252,7 +252,7 @@ def descending_prefix(values) -> tuple[float, ...]:
     return tuple(out)
 
 
-def mapped_cluster(cl: Cluster, fn) -> Cluster | None:
+def mapped_cluster(cl: Cluster, fn) -> Cluster:
     """Explicit re-presentation of the image of ``cl`` under ``fn``.
 
     For maps that move members monotonically but not by a fixed shift: the
@@ -260,8 +260,8 @@ def mapped_cluster(cl: Cluster, fn) -> Cluster | None:
     from the image of the limit, the side is read off the first offset, and
     the longest strictly decreasing prefix of the offset sizes is stored as
     an explicit sequence, non-terminating as every cluster of a built model
-    is.  None when no offset survives the prefix cut.  An image too large
-    for a float is a non-finite spectral value: MALFORMED, as for a model.
+    is.  An image too large for a float, or with every offset below float
+    resolution (an essential value lost), is MALFORMED.
     """
     try:
         base = fn(cl.limit)
@@ -271,12 +271,13 @@ def mapped_cluster(cl: Cluster, fn) -> Cluster | None:
             f"image of the cluster at {cl.limit} overflows a float") from None
     mags = descending_prefix(abs(d) for d in diffs)
     if not mags:
-        return None
+        raise MalformedModelError(
+            f"image of the cluster at {cl.limit} is below float resolution")
     return Cluster(complex(base, 0.0), ABOVE if diffs[0] > 0 else BELOW,
                    DecaySequence.explicit(mags, terminating=False))
 
 
-def _modulus_cluster(cl: Cluster) -> Cluster | None:
+def _modulus_cluster(cl: Cluster) -> Cluster:
     limit = cl.limit
     if limit.imag != 0.0:
         return mapped_cluster(cl, abs)
@@ -293,12 +294,8 @@ def _modulus_cluster(cl: Cluster) -> Cluster | None:
 def modulus_spectrum(model: SpectrumModel) -> SpectrumModel:
     """Positive model of ``|T|``: values replaced by moduli and merged."""
     points = [EigenvalueEntry(complex(abs(p.value), 0.0), p.mult) for p in model.points]
-    clusters = []
-    for cl in model.clusters:
-        mapped = _modulus_cluster(cl)
-        if mapped is not None:
-            clusters.append(mapped)
-    return SpectrumModel(POSITIVE, tuple(points), tuple(clusters))
+    clusters = tuple(_modulus_cluster(cl) for cl in model.clusters)
+    return SpectrumModel(POSITIVE, tuple(points), clusters)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,28 @@ def test_overflowing_image_is_a_malformed_diagnostic(command, doc, monkeypatch):
     assert "overflows" in env["diagnostics"][0]["message"]
 
 
+#: documents whose cluster has a modulus image with every offset below float
+#: resolution; reading such a model as finite would drop an essential value
+COLLAPSING_CLUSTERS = {
+    "tiny_offsets": '{"kind":"normal","points":[{"value":[1.0,0.0],"mult":1}],"clusters":['
+                    '{"limit":[3.0,4.0],"side":"above","deltas":{"kind":"harmonic","scale":1e-17}}]}',
+    # gram overflows on this one before it looks at the offsets
+    "huge_limit": '{"kind":"normal","points":[{"value":[1.0,0.0],"mult":1}],"clusters":['
+                  '{"limit":[1e308,1e308],"side":"above","deltas":{"kind":"harmonic","scale":1.0}}]}',
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "structure", "gram"])
+@pytest.mark.parametrize("doc", COLLAPSING_CLUSTERS.values(), ids=COLLAPSING_CLUSTERS)
+def test_cluster_image_below_float_resolution_is_malformed(command, doc, monkeypatch):
+    code, out, _ = run_cli([command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 2
+    [line] = out.splitlines()
+    env = json.loads(line)
+    assert env["result"] is None
+    assert env["diagnostics"][0]["code"] == "MALFORMED"
+
+
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):
     doc = ('{"alpha":1.0,"k":{"kind":"positive","points":[{"value":2.0,"mult":0}]},'
            '"f":"not a list"}')

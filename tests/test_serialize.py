@@ -1,12 +1,22 @@
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import anop.serialize as sz
-from anop.decompose import PositiveTriple, decompose_positive, invert_triple, structure_selfadjoint
+from anop.cli import execute
+from anop.decompose import (
+    FredholmReport,
+    PositiveTriple,
+    decompose_positive,
+    invert_triple,
+    structure_selfadjoint,
+)
 from anop.errors import ParseError
+from anop.matrix import PolarPair, VerificationReport, WitnessReport
 from anop.model import (
     ABOVE,
     BELOW,
@@ -14,13 +24,16 @@ from anop.model import (
     NORMAL,
     POSITIVE,
     SELF_ADJOINT,
+    ANVerdict,
     Cluster,
     EigenvalueEntry,
+    ModuliReport,
     SpectrumModel,
     classify,
     moduli_report,
     normalize_model,
 )
+from anop.oracle import OracleFailure, OracleReport, PerturbationReport
 from anop.sequences import DecaySequence
 
 from conftest import positive_points
@@ -232,6 +245,132 @@ def test_verdict_payload_shape():
     assert payload["violations"] == []
     assert payload["moduli"]["operator_norm"] == 3.0
     assert payload["moduli"]["essential_min_modulus"] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# report payloads, byte for byte
+
+
+def _verification(ok, mode, failures=(), **defects):
+    """Verification report whose defects are 0.0 unless given."""
+    values = dict.fromkeys(
+        ("recombination_residual", "kf_residual", "k_hermitian_defect",
+         "f_hermitian_defect", "k_psd_defect", "f_psd_defect", "f_bound_defect",
+         "normality_defect", "partial_isometry_defect", "off_diagonal_norm",
+         "witness_min_eig"), 0.0)
+    values.update(defects)
+    return VerificationReport(ok=ok, mode=mode, failures=failures, **values)
+
+
+#: the keys that read 0.0 in all three verification cases, in emitted order
+_DEFECTS = '"k_hermitian_defect":0.0,"k_psd_defect":0.0,"kf_residual":0.0,'
+
+#: (payload function, report, emitted text); each -0.0 comes out as 0.0
+PINNED_REPORTS = {
+    "verification-positive": (sz.verification_payload, _verification(
+        True, "positive", recombination_residual=1.5e-16, k_hermitian_defect=-0.0,
+        off_diagonal_norm=3.25e-15, witness_min_eig=-0.0),
+        '{"f_bound_defect":0.0,"f_hermitian_defect":0.0,"f_psd_defect":0.0,'
+        '"failures":[],' + _DEFECTS + '"mode":"positive","normality_defect":0.0,'
+        '"off_diagonal_norm":3.25e-15,"ok":true,"partial_isometry_defect":0.0,'
+        '"recombination_residual":1.5e-16,"witness_min_eig":0.0}\n'),
+    "verification-polar": (sz.verification_payload, _verification(
+        True, "polar", normality_defect=2e-17, partial_isometry_defect=-0.0,
+        f_bound_defect=0.125),
+        '{"f_bound_defect":0.125,"f_hermitian_defect":0.0,"f_psd_defect":0.0,'
+        '"failures":[],' + _DEFECTS + '"mode":"polar","normality_defect":2e-17,'
+        '"off_diagonal_norm":0.0,"ok":true,"partial_isometry_defect":0.0,'
+        '"recombination_residual":0.0,"witness_min_eig":0.0}\n'),
+    "verification-failing": (sz.verification_payload, _verification(
+        False, "polar", ("normality", "f_below_alpha"), kf_residual=-0.0,
+        normality_defect=0.5, f_bound_defect=3.0, f_hermitian_defect=1e300),
+        '{"f_bound_defect":3.0,"f_hermitian_defect":1e+300,"f_psd_defect":0.0,'
+        '"failures":["normality","f_below_alpha"],' + _DEFECTS + '"mode":"polar",'
+        '"normality_defect":0.5,"off_diagonal_norm":0.0,"ok":false,'
+        '"partial_isometry_defect":0.0,"recombination_residual":0.0,'
+        '"witness_min_eig":0.0}\n'),
+    "witness": (sz.witness_payload, WitnessReport(1e-16, -0.0, 0.5, -2.0, True),
+                '{"an_predicted":true,"identity_residual":1e-16,'
+                '"partial_isometry_defect":0.0,"script_f_min_eig":-2.0,'
+                '"script_k_min_eig":0.5}\n'),
+    "perturbation": (sz.perturbation_payload, PerturbationReport(False, 3, 2, -0.0, 4.5),
+                     '{"grid_hi":4.5,"grid_lo":0.0,"max_count_gap":3,'
+                     '"rank_detected":2,"within_bound":false}\n'),
+    "oracle": (sz.oracle_payload, OracleReport(False, (
+        OracleFailure("unattained_tail", (2.0,), "tail at 2.0"),
+        OracleFailure("unattained_mixture", (1.0, -0.0, 1.75), "mixing")), 7, 1),
+        '{"failures":[{"detail":"tail at 2.0","kind":"unattained_tail","witness":[2.0]},'
+        '{"detail":"mixing","kind":"unattained_mixture","witness":[1.0,0.0,1.75]}],'
+        '"is_an":false,"pairs_checked":1,"subsets_checked":7}\n'),
+    "fredholm-inf": (sz.fredholm_payload,
+                     FredholmReport(INF, False, False, False, -0.0, False),
+                     '{"essential_min_modulus":0.0,"is_fredholm":false,'
+                     '"is_injective":false,"is_left_semi_fredholm":false,'
+                     '"kernel_dimension":"inf","range_closed":false}\n'),
+    "fredholm-finite": (sz.fredholm_payload,
+                        FredholmReport(2, True, True, True, 0.5, False),
+                        '{"essential_min_modulus":0.5,"is_fredholm":true,'
+                        '"is_injective":false,"is_left_semi_fredholm":true,'
+                        '"kernel_dimension":2,"range_closed":true}\n'),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_payload_bytes_are_pinned(name):
+    payload, report, text = PINNED_REPORTS[name]
+    assert sz.emit(payload(report)) == text
+
+
+def test_verdict_payload_bytes_are_pinned():
+    # the moduli report nests; the modulus model stays out
+    verdict = ANVerdict(False, ("LIMIT_FROM_BELOW",), SpectrumModel(POSITIVE))
+    moduli = ModuliReport(2.0, -0.0, 1.0, False, False)
+    assert sz.emit(sz.verdict_payload(verdict, moduli)) == (
+        '{"is_an":false,"moduli":{"essential_min_modulus":1.0,"finite_dim":false,'
+        '"min_modulus":0.0,"norm_attained":false,"operator_norm":2.0},'
+        '"violations":["LIMIT_FROM_BELOW"]}\n')
+
+
+@pytest.mark.parametrize("splitter", ["f", "gram"])
+def test_blocks_result_bytes_are_pinned(splitter, monkeypatch):
+    # unconjugated (seed 0), so every entry is exact
+    doc = ('{"alpha":1.0,"k":{"kind":"positive","points":[{"value":0.5,"mult":1}]},'
+           '"f":[{"value":0.25,"mult":1}],"identity_multiplicity":1}')
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    out = io.StringIO()
+    assert execute(["blocks", "-", "--dim", "3", "--splitter", splitter], out=out) == 0
+    assert out.getvalue() == (
+        '{"command":"blocks","diagnostics":[],"result":{"kernel_dim":2,'
+        '"off_diagonal_norm":0.0,"on_kernel":[[[1.5,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]],'
+        '"on_range":[[[0.75,0.0]]],"range_dim":1,"splitter":"%s"},"schema_version":"1"}\n'
+        % splitter)
+
+
+def test_polar_result_bytes_are_pinned(monkeypatch):
+    pair = PolarPair(np.array([[1.0, -0.0], [0.0, -1.0]]),
+                     np.array([[2.0, 0.5j], [-0.0, 3.0]]))
+    monkeypatch.setattr("anop.matrix.polar_decompose", lambda m, tol: pair)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"matrix":[[2,0],[0,-3]]}'))
+    out = io.StringIO()
+    assert execute(["polar", "-"], out=out) == 0
+    # residual: |diag(2, -3) - isometry @ modulus| / |diag(2, -3)| = 0.5 / sqrt(13)
+    assert out.getvalue() == (
+        '{"command":"polar","diagnostics":[],"result":{'
+        '"isometry":[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[-1.0,0.0]]],'
+        '"modulus":[[[2.0,0.0],[0.0,0.5]],[[0.0,0.0],[3.0,0.0]]],'
+        '"residual":0.1386750490563073},"schema_version":"1"}\n')
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_report_float_is_refused(bad):
+    with pytest.raises(ParseError):
+        sz.verification_payload(_verification(True, "positive", kf_residual=bad))
+    with pytest.raises(ParseError):
+        sz.oracle_payload(OracleReport(False, (
+            OracleFailure("unattained_tail", (bad,), "tail"),), 1, 0))
+    with pytest.raises(ParseError):
+        sz.verdict_payload(ANVerdict(True, (), SpectrumModel(POSITIVE)),
+                           ModuliReport(bad, 0.0, 0.0, True, True))
 
 
 # ---------------------------------------------------------------------------
