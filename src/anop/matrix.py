@@ -13,12 +13,13 @@ kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
 (1985) round-robin order, whose rounds of disjoint rotations vectorize.
 
 Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
-once, cold; every later solve (K, F or ``F*F``, the splitter, the two
-witness parts) runs Jacobi on ``Q* X Q`` in the eigenvectors ``Q`` of that
-solve.  The components of a canonical realization are diagonal in that
-basis, so those solves mostly take no sweep.  The stopping test is the
-same as for a cold solve, so a basis that fits ``X`` poorly costs sweeps,
-not accuracy.
+once, cold, and passes its eigenvectors ``Q`` as the ``basis`` of every
+later :func:`hermitian_eigen` call (K, the splitter, ``F*F``, the witness
+parts), which then runs Jacobi on ``Q* X Q``.  The components of a
+canonical realization are diagonal in that basis, so those solves mostly
+take no sweep.  The stopping test is the same as for a cold solve, so a
+basis that fits ``X`` poorly costs sweeps, not accuracy.  The solver takes
+input whose Frobenius norm is a finite float, below about 1.3e154.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import PositiveTriple, StructuredDecomposition
+from .decompose import PositiveTriple, StructuredDecomposition, _checked_alpha
 from .errors import (
     AlphaZeroError,
     DimTooLargeError,
@@ -67,10 +68,10 @@ def _parallel_order(n):
     return rounds
 
 
-def _jacobi_sweeps(a, v, max_sweeps):
+def _jacobi_sweeps(a, v):
     """Parallel-order complex Jacobi on Hermitian ``a``; ``v`` accumulates
-    the eigenvector basis.  Returns the sweep count, or -1 on
-    non-convergence.
+    the eigenvector basis.  Returns the sweep count, or -1 when
+    ``MAX_SWEEPS`` sweeps do not converge.
 
     A round's rotations touch disjoint pairs, so they commute and are
     applied at once: one column gather/scatter on ``a`` and ``v``, then one
@@ -86,7 +87,7 @@ def _jacobi_sweeps(a, v, max_sweeps):
     pivot_tol = thresh / (2.0 * n)
     off_diagonal = ~np.eye(n, dtype=bool)
     rounds = _parallel_order(n)
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if _fro(a[off_diagonal]) <= thresh:
             return sweep
         for p, q in rounds:
@@ -214,53 +215,64 @@ def _fro(a) -> float:
     return math.sqrt(float(np.sum(np.abs(a) ** 2)))
 
 
+def _operands(**named) -> list[np.ndarray]:
+    """Each named operand as a nonempty square complex matrix; all must
+    share one shape."""
+    mats = [_as_square(m, name) for name, m in named.items()]
+    if len({m.shape for m in mats}) > 1:
+        shapes = ", ".join(f"{name} {m.shape}" for name, m in zip(named, mats))
+        raise ShapeMismatchError(f"operand shapes differ: {shapes}")
+    return mats
+
+
 def _hermitian_input(a) -> np.ndarray:
-    """The eigensolver's input checks: ``a`` square, at most MAX_DIM and
-    Hermitian to working precision; returns its Hermitian part."""
+    """The eigensolver's input checks: ``a`` square, at most MAX_DIM, of
+    finite Frobenius norm and Hermitian to working precision; returns its
+    Hermitian part."""
     m = _as_square(a, "eigensolver input")
     n = m.shape[0]
     if n > MAX_DIM:
         raise DimTooLargeError(f"dimension {n} exceeds the solver cap {MAX_DIM}")
-    scale = max(_fro(m), 1.0)
-    if _fro(m - m.conj().T) > 1e-10 * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _fro(m)
+        asymmetry = _fro(m - m.conj().T)
+    if not math.isfinite(norm):
+        raise MalformedModelError(f"eigensolver input norm {norm} is not a finite float")
+    if asymmetry > 1e-10 * max(norm, 1.0):
         raise NotHermitianError("eigensolver input is not Hermitian")
     return (m + m.conj().T) / 2.0
 
 
-def hermitian_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
+def hermitian_eigen(a, basis=None) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by round-robin
-    (parallel-order) Jacobi.
+    (parallel-order) Jacobi, started in the orthonormal ``basis`` unless it
+    is None.
+
+    The input checks run on ``a`` itself.  With a basis, Jacobi runs on
+    ``basis* a basis`` and the eigenvectors come back through ``basis``,
+    which is Jacobi with the accumulated basis started at ``basis``.
 
     Raises NotHermitianError when the input is not Hermitian to working
-    precision, DimTooLargeError beyond MAX_DIM, and NoConvergenceError if
-    the off-diagonal mass survives ``max_sweeps`` sweeps.
+    precision, DimTooLargeError beyond MAX_DIM, MalformedModelError when
+    its Frobenius norm is not a finite float (a NaN or infinite entry, or a
+    norm above about 1.3e154), and NoConvergenceError if the off-diagonal
+    mass survives ``MAX_SWEEPS`` sweeps.
     """
-    work = np.ascontiguousarray(_hermitian_input(a))
+    work = _hermitian_input(a)
+    if basis is not None:
+        _, basis = _operands(a=work, basis=basis)
+        work = _hermitian_input(basis.conj().T @ work @ basis)
+    work = np.ascontiguousarray(work)
     n = work.shape[0]
-    basis = np.eye(n, dtype=np.complex128)
-    sweeps = _jacobi_sweeps(work, basis, int(max_sweeps))
+    vectors = np.eye(n, dtype=np.complex128)
+    sweeps = _jacobi_sweeps(work, vectors)
     if sweeps < 0:
         raise NoConvergenceError(
-            f"Jacobi did not converge within {max_sweeps} sweeps at dimension {n}")
+            f"Jacobi did not converge within {MAX_SWEEPS} sweeps at dimension {n}")
     values = np.real(np.diag(work)).copy()
     order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], basis[:, order], int(sweeps))
-
-
-def _eigen(a, basis) -> EigenDecomposition:
-    """:func:`hermitian_eigen` of ``a``, started in the orthonormal ``basis``
-    unless it is None.
-
-    The input checks run on ``a`` itself.  Jacobi then runs on
-    ``basis* a basis``, and its eigenvectors come back through ``basis``,
-    which is Jacobi with the accumulated basis started at ``basis``.  The
-    solve goes through :func:`hermitian_eigen`, so a trace of that function
-    sees every solve and its sweeps.
-    """
-    if basis is None:
-        return hermitian_eigen(a)
-    eig = hermitian_eigen(basis.conj().T @ _hermitian_input(a) @ basis)
-    return EigenDecomposition(eig.values, basis @ eig.vectors, eig.sweeps)
+    vectors = vectors[:, order] if basis is None else basis @ vectors[:, order]
+    return EigenDecomposition(values[order], vectors, sweeps)
 
 
 def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
@@ -489,11 +501,7 @@ def block_form(a, splitter, tol: float = CHECK_TOL) -> BlockForm:
     larger Frobenius norm of the two coupling blocks; it vanishes exactly
     when the splitting reduces ``a``.
     """
-    t = _as_square(a, "block form input")
-    s = _as_square(splitter, "splitter")
-    if s.shape != t.shape:
-        raise ShapeMismatchError(
-            f"splitter shape {s.shape} does not match operator shape {t.shape}")
+    t, s = _operands(a=a, splitter=splitter)
     return _block_form(t, hermitian_eigen(s), tol)
 
 
@@ -525,11 +533,7 @@ def inverse_via_blocks(k, f, alpha: float, tol: float = CHECK_TOL) -> np.ndarray
     eigensolve; K0 is eigensolved on the kernel of F.  Requires
     ``alpha > 0`` and F strictly below alpha.
     """
-    km = _as_square(k, "compact part")
-    fm = _as_square(f, "finite-rank part")
-    if km.shape != fm.shape:
-        raise ShapeMismatchError(
-            f"component shapes {km.shape} and {fm.shape} differ")
+    km, fm = _operands(k=k, f=f)
     if alpha <= tol:
         raise AlphaZeroError("blockwise inversion requires a positive shift")
     f_eig = hermitian_eigen(fm)
@@ -556,8 +560,8 @@ def inverse_via_blocks(k, f, alpha: float, tol: float = CHECK_TOL) -> np.ndarray
     return inv
 
 
-def converse_witness(k, f, v, alpha: float, t=None,
-                     tol: float = CHECK_TOL) -> WitnessReport:
+def converse_witness(k, f, v, alpha: float, t=None, tol: float = CHECK_TOL,
+                     basis=None) -> WitnessReport:
     """Check the witness identity behind the converse direction.
 
     With ``T = K - F + alpha*V``, expanding ``T*T`` gives
@@ -566,21 +570,11 @@ def converse_witness(k, f, v, alpha: float, t=None,
     ``scriptF = K*F + F*K + alpha*(V*F + F*V) - F*F``.
     Both script parts are positive semidefinite exactly when the
     decomposition is canonical, which is what ``an_predicted`` reports.
+    Both are eigensolved started in ``basis`` (see :func:`hermitian_eigen`).
     """
-    km = _as_square(k, "compact part")
-    fm = _as_square(f, "finite-rank part")
-    vm = _as_square(v, "isometry part")
-    if not (km.shape == fm.shape == vm.shape):
-        raise ShapeMismatchError("component shapes differ")
-    tm = _as_square(t, "operator") if t is not None else km - fm + alpha * vm
-    if tm.shape != km.shape:
-        raise ShapeMismatchError("operator shape does not match components")
-    return _witness(km, fm, vm, alpha, tm, tol, None)
-
-
-def _witness(km, fm, vm, alpha: float, tm, tol: float, basis) -> WitnessReport:
-    """:func:`converse_witness` of checked square matrices, with both script
-    parts eigensolved in ``basis`` (see :func:`_eigen`)."""
+    km, fm, vm = _operands(k=k, f=f, v=v)
+    alpha = _checked_alpha(alpha)
+    tm = km - fm + alpha * vm if t is None else _operands(k=km, t=t)[1]
     kh = km.conj().T
     fh = fm.conj().T
     vh = vm.conj().T
@@ -594,8 +588,8 @@ def _witness(km, fm, vm, alpha: float, tm, tol: float, basis) -> WitnessReport:
 
     script_k = (script_k + script_k.conj().T) / 2.0
     script_f = (script_f + script_f.conj().T) / 2.0
-    k_min = float(_eigen(script_k, basis).values[0])
-    f_min = float(_eigen(script_f, basis).values[0])
+    k_min = float(hermitian_eigen(script_k, basis).values[0])
+    f_min = float(hermitian_eigen(script_f, basis).values[0])
     an_predicted = (identity_residual <= 10.0 * tol
                     and iso_defect <= 10.0 * tol
                     and k_min >= -tol * scale
@@ -614,25 +608,18 @@ def verify_structure(t, k, f, v, alpha: float,
     check ``KF = 0`` in all adjoint placements, that the range/kernel
     splitting of F reduces T, and the converse witness positivity.
 
-    Only ``T*T`` is eigensolved cold; K, F or ``F*F``, the splitter and
-    the witness parts are eigensolved in its eigenvector basis, in which a
+    Only ``T*T`` is eigensolved cold; K, the splitter, ``F*F`` and the
+    witness parts are eigensolved in its eigenvector basis, in which a
     canonical decomposition is already diagonal.
     """
-    tm = _as_square(t, "operator")
-    km = _as_square(k, "compact part")
-    fm = _as_square(f, "finite-rank part")
-    vm = _as_square(v, "isometry part")
-    if not (tm.shape == km.shape == fm.shape == vm.shape):
-        raise ShapeMismatchError("component shapes differ")
-    if alpha < 0:
-        raise MalformedModelError(f"alpha must be nonnegative, got {alpha}")
+    tm, km, fm, vm = _operands(t=t, k=k, f=f, v=v)
+    alpha = _checked_alpha(alpha)
     n = tm.shape[0]
     scale = max(_fro(tm), 1.0)
     k_scale = max(_fro(km), 1.0)
     f_scale = max(_fro(fm), 1.0)
 
     positive_mode = _fro(vm - np.eye(n)) <= tol * math.sqrt(n)
-    mode = "positive" if positive_mode else "polar"
 
     recomb = _fro(tm - (km - fm + alpha * vm)) / scale
     kf = max(_fro(km @ fm), _fro(km.conj().T @ fm),
@@ -649,34 +636,26 @@ def verify_structure(t, k, f, v, alpha: float,
     # one eigendecomposition serves the bounds below and the block form
     q = hermitian_eigen(gram).vectors
     k_psd = f_psd = f_bound = 0.0
-    split_eig = None
-    if positive_mode:
-        if k_herm <= tol:
-            k_psd = max(0.0, -float(_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
-        if f_herm <= tol:
-            split_eig = _eigen(fm, q)
-            f_psd = max(0.0, -float(split_eig.values[0])) / f_scale
-            f_bound = max(0.0, float(split_eig.values[-1]) - alpha) / max(alpha, 1.0)
-        witness_src = _witness(km, fm, np.eye(n, dtype=np.complex128),
-                               alpha, tm, tol, q)
-    else:
-        ff_eig = _eigen(fm.conj().T @ fm, q)
-        f_bound = (max(0.0, float(ff_eig.values[-1]) - alpha * alpha)
-                   / max(alpha * alpha, 1.0))
-        if f_herm > tol:
-            split_eig = ff_eig
-        witness_src = _witness(km, fm, vm, alpha, tm, tol, q)
-
-    if split_eig is None:
-        split_eig = _eigen(fm if f_herm <= tol else fm.conj().T @ fm, q)
+    if positive_mode and k_herm <= tol:
+        k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
+    f_hermitian = f_herm <= tol
+    split_eig = hermitian_eigen(fm if f_hermitian else fm.conj().T @ fm, q)
+    if not positive_mode:
+        ff_eig = hermitian_eigen(fm.conj().T @ fm, q) if f_hermitian else split_eig
+        f_bound = max(0.0, float(ff_eig.values[-1]) - alpha * alpha) / max(alpha * alpha, 1.0)
+    elif f_hermitian:
+        f_psd = max(0.0, -float(split_eig.values[0])) / f_scale
+        f_bound = max(0.0, float(split_eig.values[-1]) - alpha) / max(alpha, 1.0)
+    v_exact = np.eye(n, dtype=np.complex128) if positive_mode else vm
+    witness = converse_witness(km, fm, v_exact, alpha, tm, tol, basis=q)
     off = _block_form(tm, split_eig, tol).off_diagonal_norm / scale
 
     checks = [
         ("recombination", recomb <= tol),
         ("kf_orthogonality", kf <= tol),
         ("reducing_subspaces", off <= tol),
-        ("witness_identity", witness_src.identity_residual <= 10.0 * tol),
-        ("witness_positivity", witness_src.an_predicted),
+        ("witness_identity", witness.identity_residual <= 10.0 * tol),
+        ("witness_positivity", witness.an_predicted),
     ]
     if positive_mode:
         checks += [
@@ -684,18 +663,17 @@ def verify_structure(t, k, f, v, alpha: float,
             ("f_hermitian", f_herm <= tol),
             ("k_positive", k_psd <= tol),
             ("f_positive", f_psd <= tol),
-            ("f_below_alpha", f_bound <= tol),
         ]
     else:
         checks += [
             ("normality", normality <= tol),
             ("partial_isometry", iso <= tol),
-            ("f_below_alpha", f_bound <= tol),
         ]
+    checks.append(("f_below_alpha", f_bound <= tol))
     failures = tuple(name for name, good in checks if not good)
     return VerificationReport(
         ok=not failures,
-        mode=mode,
+        mode="positive" if positive_mode else "polar",
         recombination_residual=recomb,
         kf_residual=kf,
         k_hermitian_defect=k_herm,
@@ -706,6 +684,6 @@ def verify_structure(t, k, f, v, alpha: float,
         normality_defect=normality,
         partial_isometry_defect=iso,
         off_diagonal_norm=off,
-        witness_min_eig=witness_src.script_k_min_eig,
+        witness_min_eig=witness.script_k_min_eig,
         failures=failures,
     )

@@ -41,6 +41,7 @@ from .model import (
     Cluster,
     EigenvalueEntry,
     SpectrumModel,
+    _modulus_cluster,
 )
 from .sequences import MERGE_TOL, DecaySequence, close_groups
 
@@ -186,6 +187,7 @@ def attainment_oracle(model: SpectrumModel,
         if p.is_infinite():
             essential.append((abs(p.value), "flat", None))
     for cl in model.clusters:
+        _modulus_cluster(cl)  # refuses the clusters that classify refuses
         try:
             mags = [abs(m) for m in cl.members(deep)]
         except OverflowError:

@@ -292,7 +292,12 @@ def parse_matrix(obj):
         if not isinstance(raw_row, list) or len(raw_row) != len(obj):
             raise ParseError("matrix must be square")
         rows.append([_value_in(c, "matrix entry") for c in raw_row])
-    return np.array(rows, dtype=np.complex128)
+    m = np.array(rows, dtype=np.complex128)
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), m.shape[1])
+        raise ParseError(f"matrix entry [{i}][{j}] must be finite, got {obj[i][j]!r}")
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -337,7 +338,7 @@ COLLAPSING_CLUSTERS = {
 }
 
 
-@pytest.mark.parametrize("command", ["classify", "structure", "gram"])
+@pytest.mark.parametrize("command", ["classify", "structure", "gram", "oracle"])
 @pytest.mark.parametrize("doc", COLLAPSING_CLUSTERS.values(), ids=COLLAPSING_CLUSTERS)
 def test_cluster_image_below_float_resolution_is_malformed(command, doc, monkeypatch):
     code, out, _ = run_cli([command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
@@ -346,6 +347,21 @@ def test_cluster_image_below_float_resolution_is_malformed(command, doc, monkeyp
     env = json.loads(line)
     assert env["result"] is None
     assert env["diagnostics"][0]["code"] == "MALFORMED"
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "[0.0, NaN]", "1e400"])
+def test_non_finite_matrix_entry_is_a_parse_error(entry, monkeypatch):
+    rows = [[1.0 if i == j else 0.0 for j in range(48)] for i in range(48)]
+    rows[5][7] = "ENTRY"
+    doc = json.dumps({"matrix": rows}).replace('"ENTRY"', entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["polar", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 1 and err == ""
+    [line] = out.splitlines()
+    diag = json.loads(line)["diagnostics"][0]
+    assert diag["code"] == "PARSE"
+    assert diag["message"].startswith("matrix entry [5][7] must be finite")
 
 
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,8 @@ def test_eigen_rejects_non_square():
         hermitian_eigen(np.zeros((2, 3)))
     with pytest.raises(ShapeMismatchError):
         hermitian_eigen(np.zeros((0, 0)))
+    with pytest.raises(ShapeMismatchError):
+        hermitian_eigen(np.eye(3), basis=np.eye(4))
 
 
 def test_eigen_dimension_cap():
@@ -112,10 +115,44 @@ def test_eigen_dimension_cap():
         hermitian_eigen(np.eye(MAX_DIM + 1))
 
 
-def test_eigen_no_convergence_signalled():
+def test_eigen_no_convergence_signalled(monkeypatch):
     a = random_hermitian(12, seed=5)
+    monkeypatch.setattr(anop.matrix, "MAX_SWEEPS", 0)
     with pytest.raises(NoConvergenceError):
-        hermitian_eigen(a, max_sweeps=0)
+        hermitian_eigen(a)
+
+
+NON_FINITE_NORM = {
+    "overflowing-norm": [[1.0, 1e160], [1e160, 2.0]],
+    "nan-entry": [[1.0, math.nan], [math.nan, 2.0]],
+    "inf-entry": [[math.inf, 0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("a", NON_FINITE_NORM.values(), ids=NON_FINITE_NORM)
+def test_eigen_refuses_input_of_non_finite_norm(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedModelError, match="not a finite float"):
+            hermitian_eigen(a)
+
+
+def test_eigen_solves_large_input_inside_its_range():
+    eig = hermitian_eigen([[0.0, 9e153], [9e153, 0.0]])
+    assert np.allclose(eig.values, [-9e153, 9e153], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 31])
+def test_eigen_started_in_a_basis_matches_a_cold_solve(n):
+    a = random_hermitian(n, seed=n + 1)
+    q = seeded_unitary(n, 7)
+    warm = hermitian_eigen(a, basis=q)
+    cold = hermitian_eigen(a)
+    scale = max(np.max(np.abs(cold.values)), 1.0)
+    assert np.max(np.abs(warm.values - cold.values)) <= 1e-12 * scale
+    resid = np.linalg.norm(a @ warm.vectors - warm.vectors * warm.values)
+    assert resid <= 1e-12 * scale * n
+    assert np.linalg.norm(warm.vectors.conj().T @ warm.vectors - np.eye(n)) <= 1e-12 * n
 
 
 @settings(max_examples=25, deadline=None)
@@ -571,3 +608,49 @@ def test_witness_identity_residual_detects_wrong_t():
     wit = converse_witness(z, z, z, 1.0, np.eye(n, dtype=complex))
     assert not wit.an_predicted
     assert wit.identity_residual > 0.1
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["canonical", "corrupted-k"])
+def test_witness_started_in_a_basis_matches_a_cold_witness(corrupt):
+    ro = realize_matrix(full_triple(), dim=12, seed=5)
+    k = ro.compact - 2.0 * np.eye(12) if corrupt else ro.compact
+    q = seeded_unitary(12, 9)
+    warm = converse_witness(k, ro.finite, ro.isometry, ro.alpha, ro.matrix, basis=q)
+    cold = converse_witness(k, ro.finite, ro.isometry, ro.alpha, ro.matrix)
+    assert warm.an_predicted == cold.an_predicted == (not corrupt)
+    for name in ("identity_residual", "partial_isometry_defect",
+                 "script_k_min_eig", "script_f_min_eig"):
+        want = getattr(cold, name)
+        assert abs(getattr(warm, name) - want) <= 1e-12 * max(abs(want), 1.0), name
+
+
+@pytest.mark.parametrize("check", ["converse_witness", "verify_structure"])
+@pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+def test_alpha_must_be_finite_and_nonnegative(check, alpha):
+    ro = realize_matrix(full_triple(), dim=6, seed=1)
+    with pytest.raises(MalformedModelError, match="alpha must be finite"):
+        if check == "converse_witness":
+            converse_witness(ro.compact, ro.finite, ro.isometry, alpha)
+        else:
+            verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry, alpha)
+
+
+#: operand count and call of each function with several same-shape operands
+SHAPED_CALLS = {
+    "converse_witness": (3, lambda ops: converse_witness(*ops, 1.0)),
+    "converse_witness-t": (4, lambda ops: converse_witness(*ops[:3], 1.0, ops[3])),
+    "verify_structure": (4, lambda ops: verify_structure(*ops, 1.0)),
+    "inverse_via_blocks": (2, lambda ops: inverse_via_blocks(*ops, 1.0)),
+}
+SHAPE_CASES = [(name, bad) for name, (count, _) in SHAPED_CALLS.items()
+               for bad in range(count)]
+
+
+@pytest.mark.parametrize("name,bad", SHAPE_CASES,
+                         ids=[f"{name}-{bad}" for name, bad in SHAPE_CASES])
+def test_one_mis_shaped_operand_is_a_shape_mismatch(name, bad):
+    count, call = SHAPED_CALLS[name]
+    ops = [np.eye(3, dtype=complex) for _ in range(count)]
+    ops[bad] = np.eye(4, dtype=complex)
+    with pytest.raises(ShapeMismatchError):
+        call(ops)
