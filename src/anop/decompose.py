@@ -52,8 +52,10 @@ def _as_count(value, what: str):
     return value
 
 
-def _merged_finite_entries(entries, upper: float | None, what: str):
-    """Validate, merge and sort real finite-multiplicity entries."""
+def _merged_finite_entries(entries, alpha: float):
+    """Validate, merge and sort a triple's finite-rank entries: real, in
+    ``(MERGE_TOL, alpha + MERGE_TOL]`` clamped to alpha, finite multiplicity."""
+    what = "finite-rank part"
     items = []
     for e in entries:
         value, mult = complex(e.value), e.mult
@@ -62,15 +64,13 @@ def _merged_finite_entries(entries, upper: float | None, what: str):
         v = value.real
         if v <= MERGE_TOL:
             raise MalformedModelError(f"{what} value {v} must exceed the merge tolerance")
-        if upper is not None and v > upper + MERGE_TOL:
-            raise MalformedModelError(f"{what} value {v} exceeds the bound {upper}")
-        if upper is not None:
-            v = min(v, upper)
-        if mult == INF or not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            if mult == INF:
-                raise MalformedModelError(f"{what} multiplicities must be finite")
+        if v > alpha + MERGE_TOL:
+            raise MalformedModelError(f"{what} value {v} exceeds the bound {alpha}")
+        if mult == INF:
+            raise MalformedModelError(f"{what} multiplicities must be finite")
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise MalformedModelError(f"{what} multiplicity {mult!r} must be a positive integer")
-        items.append((v, mult))
+        items.append((min(v, alpha), mult))
     return tuple(EigenvalueEntry(complex(g[0][0], 0.0), sum(m for _, m in g))
                  for g in close_groups(items, key=lambda it: it[0]))
 
@@ -123,7 +123,7 @@ class PositiveTriple:
                 k = SpectrumModel(POSITIVE, k.points, (cl,))
         object.__setattr__(self, "k_entries", k)
 
-        f = _merged_finite_entries(self.f_entries, alpha, "finite-rank part")
+        f = _merged_finite_entries(self.f_entries, alpha)
         if f and alpha <= MERGE_TOL:
             raise MalformedModelError("finite-rank part requires a positive shift")
         object.__setattr__(self, "f_entries", f)

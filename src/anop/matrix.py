@@ -40,7 +40,7 @@ from .errors import (
     NotInjectiveError,
     ShapeMismatchError,
 )
-from .model import INF, MERGE_TOL
+from .model import INF, MERGE_TOL, Cluster
 
 MAX_DIM = 1024
 EIGEN_TOL = 1e-13
@@ -277,20 +277,25 @@ def hermitian_eigen(a, basis=None) -> EigenDecomposition:
 
 def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
     """Polar factorization ``T = V|T|`` with V a partial isometry that is
-    zero on the kernel of T (so V*V is the range projection of ``|T|``)."""
+    zero on the kernel of T (so V*V is the range projection of ``|T|``).
+
+    ``T*T``, whose norm can be the square of T's, is eigensolved, and the
+    solver takes norms below about 1.3e154.  So a T whose Frobenius norm is
+    not a float below about 1.1e77 raises MalformedModelError before the
+    product is formed."""
     t = _as_square(a, "polar input")
-    gram = t.conj().T @ t
-    eig = hermitian_eigen(gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _fro(t)
+    if not math.isfinite(norm * norm * norm * norm):
+        raise MalformedModelError(
+            f"polar input norm {norm} is not a float below about 1.1e77, "
+            "the range in which the eigensolver takes T*T")
+    eig = hermitian_eigen(t.conj().T @ t)
     svals = np.sqrt(np.clip(eig.values, 0.0, None))
     modulus = (eig.vectors * svals) @ eig.vectors.conj().T
-    top = float(svals[-1]) if svals.size else 0.0
-    cutoff = tol * max(top, 1.0)
-    keep = svals > cutoff
-    iso = np.zeros_like(t)
-    if np.any(keep):
-        cols = eig.vectors[:, keep]
-        images = (t @ cols) / svals[keep]
-        iso = images @ cols.conj().T
+    keep = svals > tol * max(float(svals[-1]), 1.0)
+    cols = eig.vectors[:, keep]
+    iso = ((t @ cols) / svals[keep]) @ cols.conj().T
     return PolarPair(iso, modulus)
 
 
@@ -371,96 +376,71 @@ def seeded_unitary(dim: int, seed: int) -> np.ndarray:
 # realization
 
 
-def _round_robin(leftover: int, sinks: int) -> list[int]:
-    counts = [0] * sinks
-    for i in range(leftover):
-        counts[i % sinks] += 1
-    return counts
-
-
-def _cluster_members(cl, take: int):
-    """First ``take`` cluster members; an explicit sequence shorter than the
-    request repeats its last member to stand in for the unexpressed tail."""
-    members = list(cl.members(take))
-    if members and len(members) < take:
-        members += [members[-1]] * (take - len(members))
-    return members
-
-
 def _realize_slots(sd: StructuredDecomposition, dim: int, slack_identity: bool):
-    """Diagonal slot values (t, k, f, v, label) in canonical entry order.
+    """Exactly ``dim`` diagonal slots ``(t, k, f, v, label)`` in entry order.
 
-    With no infinite part the slack pads the identity at ``alpha``; when
-    ``alpha`` is 0 it pads the kernel unless ``slack_identity`` holds (a
-    positive triple, whose V is the identity everywhere).
+    The layout is one list of ``(count, slot)`` runs: compact blocks,
+    clusters, identity blocks, finite-rank blocks, kernel.  A run of count
+    ``INF`` is a sink: a cluster, an infinite identity block or an infinite
+    kernel.  With no sink, one pad sink is added: the identity at ``alpha``
+    after the identity blocks when ``alpha`` is positive or
+    ``slack_identity`` holds (a positive triple, whose V is the identity
+    everywhere), else the kernel, last.  The sinks share the ``dim - finite``
+    leftover dimensions, the first ones in entry order taking one more when
+    the share is uneven.  A cluster run takes its first members, and an
+    explicit sequence shorter than its share repeats its last member to
+    stand in for the unexpressed tail.
     """
     alpha = sd.alpha
-    k_blocks = [b for b in sd.blocks if b.part == "k"]
-    f_blocks = [b for b in sd.blocks if b.part == "f"]
-    id_blocks = [b for b in sd.blocks if b.part == "identity"]
-    for b in k_blocks + f_blocks:
-        if b.mult == INF:
-            raise MalformedModelError(
-                "compact and finite-rank blocks must have finite multiplicity")
-    finite_needed = sum(b.mult for b in k_blocks + f_blocks)
-    finite_needed += sum(b.mult for b in id_blocks if b.mult != INF)
-    kern = sd.kernel_multiplicity
-    if kern != INF:
-        finite_needed += kern
-    if dim < finite_needed:
-        raise DimTooSmallError(
-            f"dimension {dim} cannot hold {finite_needed} finite directions")
-    leftover = dim - finite_needed
-    sinks: list[tuple[str, int]] = [("cluster", i)
-                                    for i in range(len(sd.cluster_blocks))]
-    sinks += [("identity", i) for i, b in enumerate(id_blocks) if b.mult == INF]
-    if kern == INF:
-        sinks.append(("kernel", 0))
-    share = {}
-    pad_identity = pad_kernel = 0
-    if sinks:
-        share = dict(zip(sinks, _round_robin(leftover, len(sinks))))
-    elif alpha > MERGE_TOL or slack_identity:
-        pad_identity = leftover
-    else:
-        pad_kernel = leftover
 
-    slots: list[tuple[complex, complex, complex, complex, str]] = []
-    for b in k_blocks:
-        for _ in range(b.mult):
-            slots.append((b.eigenvalue(alpha), b.phase * b.value, 0.0, b.phase, "k"))
-    for i, cl in enumerate(sd.cluster_blocks):
-        for m in _cluster_members(cl, share.get(("cluster", i), 0)):
-            mag = abs(m)
-            phase = m / mag if mag > 0 else 0.0
-            slots.append((m, phase * (mag - alpha), 0.0, phase, "cluster"))
-    for i, b in enumerate(id_blocks):
-        take = b.mult if b.mult != INF else share.get(("identity", i), 0)
-        for _ in range(int(take)):
-            slots.append((b.eigenvalue(alpha), 0.0, 0.0, b.phase, "identity"))
-    for _ in range(pad_identity):
-        slots.append((alpha, 0.0, 0.0, 1.0, "identity"))
-    for b in f_blocks:
-        for _ in range(b.mult):
-            slots.append((b.eigenvalue(alpha), 0.0, b.phase * b.value, b.phase, "f"))
-    kern_count = (kern if kern != INF else share.get(("kernel", 0), 0))
-    for _ in range(int(kern_count) + pad_kernel):
-        slots.append((0.0, 0.0, 0.0, 0.0, "kernel"))
-    return alpha, slots
+    def block_runs(part):
+        return [(b.mult, (b.eigenvalue(alpha), b.phase * b.value if part == "k" else 0.0,
+                          b.phase * b.value if part == "f" else 0.0, b.phase, part))
+                for b in sd.blocks if b.part == part]
+
+    k_runs, f_runs = block_runs("k"), block_runs("f")
+    if any(count == INF for count, _ in k_runs + f_runs):
+        raise MalformedModelError(
+            "compact and finite-rank blocks must have finite multiplicity")
+    kernel = (0.0, 0.0, 0.0, 0.0, "kernel")
+    runs = k_runs + [(INF, cl) for cl in sd.cluster_blocks] + block_runs("identity")
+    tail = f_runs + [(sd.kernel_multiplicity, kernel)]
+    if all(count != INF for count, _ in runs + tail):
+        if alpha > MERGE_TOL or slack_identity:
+            runs.append((INF, (alpha, 0.0, 0.0, 1.0, "identity")))
+        else:
+            tail.append((INF, kernel))
+    runs += tail
+    finite = sum(count for count, _ in runs if count != INF)
+    if dim < finite:
+        raise DimTooSmallError(
+            f"dimension {dim} cannot hold {finite} finite directions")
+    share, extra = divmod(dim - finite, sum(count == INF for count, _ in runs))
+    slots = []
+    for count, slot in runs:
+        if count == INF:
+            count, extra = share + (extra > 0), extra - 1
+        if not isinstance(slot, Cluster):
+            slots += [slot] * count
+            continue
+        members = list(slot.members(count))
+        for m in members + members[-1:] * (count - len(members)):
+            phase = m / abs(m) if abs(m) > 0 else 0.0
+            slots.append((m, phase * (abs(m) - alpha), 0.0, phase, "cluster"))
+    return slots
 
 
 def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     """Materialize a triple or structured decomposition at finite dimension.
 
     A triple is realized as its structure (:meth:`PositiveTriple.as_structure`,
-    every phase +1).  Diagonal entry order: compact blocks in block order,
-    cluster members, identity directions (including padding), finite-rank
-    blocks in block order, kernel.  Leftover dimensions are shared
-    round-robin among the infinite parts (clusters, then infinite
-    identity/kernel blocks).  With no infinite part the slack pads the
-    identity at ``alpha``; at ``alpha`` 0 a structure pads its kernel
-    (V = 0) while a triple still pads the identity (V = 1).  A nonzero
-    ``seed`` conjugates every component by the same deterministic unitary.
+    every phase +1).  The diagonal follows :func:`_realize_slots`: each
+    finite block takes its multiplicity, and the leftover dimensions go to
+    the sinks.  The sinks are the infinite parts (clusters, infinite
+    identity and kernel blocks), or when there is none one pad: the
+    identity at ``alpha``, but at ``alpha`` 0 the kernel of a structure
+    (V = 0) and still the identity of a triple (V = 1).  A nonzero ``seed``
+    conjugates every component by the same deterministic unitary.
     """
     if dim < 1:
         raise DimTooSmallError(f"dimension must be positive, got {dim}")
@@ -471,23 +451,13 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     if not isinstance(sd, StructuredDecomposition):
         raise MalformedModelError(
             f"cannot realize object of type {type(obj).__name__}")
-    alpha, slots = _realize_slots(sd, dim, slack_identity=triple)
-    if len(slots) != dim:
-        raise DimTooSmallError(
-            f"entry layout used {len(slots)} of {dim} dimensions")
-    t_diag = np.array([s[0] for s in slots], dtype=np.complex128)
-    k_diag = np.array([s[1] for s in slots], dtype=np.complex128)
-    f_diag = np.array([s[2] for s in slots], dtype=np.complex128)
-    v_diag = np.array([s[3] for s in slots], dtype=np.complex128)
-    labels = tuple(s[4] for s in slots)
+    slots = _realize_slots(sd, dim, slack_identity=triple)
+    diagonals = np.array([s[:4] for s in slots], dtype=np.complex128).T
     u = seeded_unitary(dim, seed)
     uh = u.conj().T
-
-    def conj(d):
-        return (u * d) @ uh
-
-    return RealizedOperator(conj(t_diag), conj(k_diag), conj(f_diag),
-                            conj(v_diag), alpha, t_diag, u, labels)
+    matrix, compact, finite, isometry = [(u * d) @ uh for d in diagonals]
+    return RealizedOperator(matrix, compact, finite, isometry, sd.alpha,
+                            diagonals[0], u, tuple(s[4] for s in slots))
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,11 @@ def normalize_model(model: SpectrumModel) -> SpectrumModel:
 # structural queries
 
 
-def total_multiplicity(model: SpectrumModel) -> float:
-    """Hilbert-space dimension the model spans (may be ``inf``)."""
+def total_multiplicity(model: SpectrumModel):
+    """Hilbert-space dimension the model spans: an int, or ``inf``."""
     if model.clusters:
         return INF
-    return float(sum(p.mult for p in model.points))
+    return sum(p.mult for p in model.points)
 
 
 def is_finite_dimensional(model: SpectrumModel) -> bool:

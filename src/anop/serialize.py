@@ -76,19 +76,27 @@ def _require(obj, key: str, what: str):
     return obj[key]
 
 
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _number_in(raw, what: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    """The one number reader: a JSON number as a float.  An integer beyond
+    the float range reads as the +-inf that a literal such as ``1e400``
+    gives, so it meets the same finiteness checks."""
+    if not _is_number(raw):
         raise ParseError(f"{what} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:
+        return INF if raw > 0 else -INF
 
 
 def _value_in(raw, what: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(float(raw), 0.0)
-    if (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in raw)):
-        return complex(float(raw[0]), float(raw[1]))
+    if _is_number(raw):
+        return complex(_number_in(raw, what), 0.0)
+    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
+        return complex(_number_in(raw[0], what), _number_in(raw[1], what))
     raise ParseError(f"{what} must be a number or [re, im] pair, got {raw!r}")
 
 
@@ -366,7 +374,7 @@ def emit(payload: dict) -> str:
 def load(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc

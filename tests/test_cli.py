@@ -349,7 +349,14 @@ def test_cluster_image_below_float_resolution_is_malformed(command, doc, monkeyp
     assert env["diagnostics"][0]["code"] == "MALFORMED"
 
 
-@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "[0.0, NaN]", "1e400"])
+#: an integer literal beyond the float range, which reads as the literal 1e400
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("entry", [
+    "NaN", "Infinity", "-Infinity", "[0.0, NaN]", "1e400",
+    pytest.param(HUGE, id="huge-integer"),
+    pytest.param(f"[0.0, -{HUGE}]", id="huge-negative-integer")])
 def test_non_finite_matrix_entry_is_a_parse_error(entry, monkeypatch):
     rows = [[1.0 if i == j else 0.0 for j in range(48)] for i in range(48)]
     rows[5][7] = "ENTRY"
@@ -362,6 +369,57 @@ def test_non_finite_matrix_entry_is_a_parse_error(entry, monkeypatch):
     diag = json.loads(line)["diagnostics"][0]
     assert diag["code"] == "PARSE"
     assert diag["message"].startswith("matrix entry [5][7] must be finite")
+
+
+#: documents refused with one MALFORMED line: a huge model value meets the
+#: check of non-finite values, and T*T of a huge matrix is beyond the
+#: eigensolver's range
+MALFORMED_NUMBERS = {
+    "value": ("classify", '{"kind":"positive","points":[{"value":%s,"mult":1}]}' % HUGE),
+    "normal-value": ("classify",
+                     '{"kind":"normal","points":[{"value":[1.0,-%s],"mult":1}]}' % HUGE),
+    "polar-1e160": ("polar", '{"matrix":[[1e160,0],[0,1]]}'),
+    "polar-1e100": ("polar", '{"matrix":[[1e100,0],[0,1]]}'),
+}
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED_NUMBERS.values(), ids=MALFORMED_NUMBERS)
+def test_out_of_range_number_is_one_malformed_diagnostic(command, doc, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 2 and err == ""
+    [line] = out.splitlines()
+    env = json.loads(line)
+    assert env["result"] is None
+    assert env["diagnostics"][0]["code"] == "MALFORMED"
+
+
+def test_integer_too_long_to_convert_is_one_diagnostic(monkeypatch):
+    doc = '{"kind":"positive","points":[{"value":1%s,"mult":1}]}' % ("0" * 5000)
+    code, out, err = run_cli(["classify", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    [line] = out.splitlines()
+    diag = json.loads(line)["diagnostics"][0]
+    # Pythons that cap integer string conversion refuse the literal as it is read
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert (code, diag["code"]) == (1, "PARSE")
+    else:
+        assert (code, diag["code"]) == (2, "MALFORMED")
+    assert err == ""
+
+
+def test_huge_multiplicity_is_counted_exactly(monkeypatch):
+    doc = '{"kind":"positive","points":[{"value":1.0,"mult":%s}]}' % HUGE
+    for command in ("classify", "decompose", "structure", "fredholm", "gram", "oracle"):
+        code, out, err = run_cli([command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
+        assert code == 0 and err == "", command
+    assert json.loads(out)["result"]["is_an"] is True
+    code, out, _ = run_cli(["decompose", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert json.loads(out)["result"]["k"]["points"][0]["mult"] == int(HUGE)
+    code, out, _ = run_cli(["realize", "--dim", "4", "-"], stdin_text=doc,
+                           monkeypatch=monkeypatch)
+    assert code == 2
+    assert json.loads(out)["diagnostics"][0]["code"] == "DIM_TOO_SMALL"
 
 
 def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monkeypatch):

@@ -48,6 +48,7 @@ from anop.model import (
     SpectrumModel,
 )
 from anop.sequences import DecaySequence
+from anop.serialize import parse_structure
 
 from conftest import positive_points
 
@@ -191,6 +192,23 @@ def test_polar_reconstructs_and_is_partial_isometry():
     sv = np.linalg.svd(t, compute_uv=False)
     ev = np.linalg.eigvalsh(pair.modulus)
     assert np.max(np.abs(np.sort(sv) - ev)) <= 1e-10 * nt
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e100])
+def test_polar_refuses_input_whose_gram_is_beyond_the_solver_range(entry):
+    t = np.array([[entry, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MalformedModelError, match="polar input norm"):
+            polar_decompose(t)
+
+
+def test_polar_solves_large_input_inside_the_solver_range():
+    t = 1e75 * np.array([[1.0, 0.2], [0.3, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pair = polar_decompose(t)
+    assert np.linalg.norm(t - pair.isometry @ pair.modulus) <= 1e-12 * np.linalg.norm(t)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +362,48 @@ def test_realize_shares_slack_round_robin():
     t = full_triple()
     ro = realize_matrix(t, dim=12, seed=0)
     assert ro.labels.count("cluster") == 8  # single sink takes all slack
+
+
+#: blocks out of order, four sinks (two clusters, an infinite identity block
+#: and an infinite kernel) and five finite directions; the explicit cluster
+#: has two members
+SINKS_DOCUMENT = {
+    "alpha": 1.0,
+    "blocks": [
+        {"part": "f", "value": 0.25, "mult": 1, "phase": [1.0, 0.0]},
+        {"part": "identity", "value": 0.0, "mult": "inf", "phase": [-1.0, 0.0]},
+        {"part": "k", "value": 1.5, "mult": 1, "phase": [-1.0, 0.0]},
+        {"part": "identity", "value": 0.0, "mult": 1, "phase": [0.0, 1.0]},
+        {"part": "k", "value": 0.5, "mult": 2, "phase": [1.0, 0.0]},
+    ],
+    "clusters": [
+        {"limit": 1.0, "side": "above",
+         "deltas": {"kind": "geometric", "first": 0.5, "ratio": 0.5}},
+        {"limit": -1.0, "side": "below",
+         "deltas": {"kind": "explicit", "terms": [0.5, 0.25]}},
+    ],
+    "kernel_multiplicity": "inf",
+}
+
+
+@pytest.mark.parametrize("dim, cluster_share, identity_share, kernel_share", [
+    (19, 4, 3, 3),  # 14 leftover over 4 sinks: the first two take one more
+    (8, 1, 1, 0),   # 3 leftover: the last sink, the kernel, takes none
+])
+def test_realize_shares_leftover_among_sinks_in_entry_order(
+        dim, cluster_share, identity_share, kernel_share):
+    ro = realize_matrix(parse_structure(SINKS_DOCUMENT), dim=dim)
+    geometric = [1.5, 1.25, 1.125, 1.0625][:cluster_share]
+    explicit = ([-1.5, -1.25] + [-1.25] * 2)[:cluster_share]  # repeats its last member
+    want = ([-2.5, 1.5, 1.5] + geometric + explicit + [-1.0] * identity_share
+            + [1j, 0.75] + [0.0] * kernel_share)
+    assert ro.labels == (("k",) * 3 + ("cluster",) * (2 * cluster_share)
+                         + ("identity",) * (identity_share + 1) + ("f",)
+                         + ("kernel",) * kernel_share)
+    assert np.array_equal(ro.diagonal, np.array(want, dtype=complex))
+    phases = ([-1, 1, 1] + [1] * cluster_share + [-1] * cluster_share
+              + [-1] * identity_share + [1j, 1] + [0] * kernel_share)
+    assert np.array_equal(np.diag(ro.isometry), np.array(phases, dtype=complex))
 
 
 def test_realize_requires_room_for_finite_directions():
