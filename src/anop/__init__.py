@@ -27,8 +27,8 @@ _NAMES = {
     "model": (
         "ABOVE", "BELOW", "ANVerdict", "Cluster", "EigenvalueEntry", "INF", "KINDS",
         "ModuliReport", "NORMAL", "POSITIVE", "SELF_ADJOINT", "SpectrumModel",
-        "VIOLATION_ORDER", "classify", "is_finite_dimensional", "materialize",
-        "moduli_report", "modulus_spectrum", "normalize_model", "total_multiplicity",
+        "VIOLATION_ORDER", "classify", "is_finite_dimensional", "moduli_report",
+        "modulus_spectrum", "normalize_model",
     ),
     "decompose": (
         "AMForm", "Block", "FredholmReport", "PositiveTriple", "StructuredDecomposition",
@@ -44,8 +44,8 @@ _NAMES = {
     ),
     "oracle": (
         "FAMILIES", "OracleFailure", "OracleReport", "PerturbationReport",
-        "TruncationProfile", "VIOLATION_CODES", "attainment_oracle", "generate_model",
-        "generate_violator", "mixed_model", "rank_perturbation_check",
+        "TruncationProfile", "attainment_oracle", "generate_model", "generate_violator",
+        "mixed_model", "rank_perturbation_check",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

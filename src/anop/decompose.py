@@ -40,7 +40,6 @@ from .model import (
     _declared_positive_negative,
     mapped_cluster,
 )
-from .sequences import close_groups
 
 
 def _as_count(value, what: str):
@@ -53,8 +52,9 @@ def _as_count(value, what: str):
 
 
 def _merged_finite_entries(entries, alpha: float):
-    """Validate, merge and sort a triple's finite-rank entries: real, in
-    ``(MERGE_TOL, alpha + MERGE_TOL]`` clamped to alpha, finite multiplicity."""
+    """Validate a triple's finite-rank entries (real, in ``(MERGE_TOL,
+    alpha + MERGE_TOL]`` clamped to alpha, finite multiplicity), then merge
+    and sort them as the points of a :class:`SpectrumModel`."""
     what = "finite-rank part"
     items = []
     for e in entries:
@@ -70,9 +70,8 @@ def _merged_finite_entries(entries, alpha: float):
             raise MalformedModelError(f"{what} multiplicities must be finite")
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise MalformedModelError(f"{what} multiplicity {mult!r} must be a positive integer")
-        items.append((min(v, alpha), mult))
-    return tuple(EigenvalueEntry(complex(g[0][0], 0.0), sum(m for _, m in g))
-                 for g in close_groups(items, key=lambda it: it[0]))
+        items.append(EigenvalueEntry(complex(min(v, alpha), 0.0), mult))
+    return SpectrumModel(POSITIVE, tuple(items)).points
 
 
 def _checked_alpha(alpha) -> float:

@@ -14,8 +14,9 @@ kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
 
 Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
 once, cold, and passes its eigenvectors ``Q`` as the ``basis`` of every
-later :func:`hermitian_eigen` call (K, the splitter, ``F*F``, the witness
-parts), which then runs Jacobi on ``Q* X Q``.  The components of a
+later :func:`hermitian_eigen` call (K in positive mode, the splitter F or
+``F*F``, the two witness parts), which then runs Jacobi on ``Q* X Q``; the
+``F*F`` bound is read off the splitter's eigenvalues.  The components of a
 canonical realization are diagonal in that basis, so those solves mostly
 take no sweep.  The stopping test is the same as for a cold solve, so a
 basis that fits ``X`` poorly costs sweeps, not accuracy.  The solver takes
@@ -212,7 +213,13 @@ def _as_square(a, what: str) -> np.ndarray:
 
 
 def _fro(a) -> float:
-    return math.sqrt(float(np.sum(np.abs(a) ** 2)))
+    """Frobenius norm, scaled by the largest entry if the sum of squares overflows."""
+    total = float(np.sum(np.abs(a) ** 2))
+    if total == math.inf:
+        big = float(np.max(np.abs(a)))
+        if big < math.inf:
+            return big * math.sqrt(float(np.sum(np.abs(a / big) ** 2)))
+    return math.sqrt(total)
 
 
 def _operands(**named) -> list[np.ndarray]:
@@ -226,9 +233,9 @@ def _operands(**named) -> list[np.ndarray]:
 
 
 def _hermitian_input(a) -> np.ndarray:
-    """The eigensolver's input checks: ``a`` square, at most MAX_DIM, of
-    finite Frobenius norm and Hermitian to working precision; returns its
-    Hermitian part."""
+    """The eigensolver's input checks: ``a`` square, at most MAX_DIM, with a
+    Frobenius norm whose square is a finite float and Hermitian to working
+    precision; returns its Hermitian part."""
     m = _as_square(a, "eigensolver input")
     n = m.shape[0]
     if n > MAX_DIM:
@@ -236,8 +243,9 @@ def _hermitian_input(a) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         norm = _fro(m)
         asymmetry = _fro(m - m.conj().T)
-    if not math.isfinite(norm):
-        raise MalformedModelError(f"eigensolver input norm {norm} is not a finite float")
+    if not math.isfinite(norm * norm):
+        raise MalformedModelError(
+            f"eigensolver input norm {norm} is not a finite float below about 1.3e154")
     if asymmetry > 1e-10 * max(norm, 1.0):
         raise NotHermitianError("eigensolver input is not Hermitian")
     return (m + m.conj().T) / 2.0
@@ -254,9 +262,9 @@ def hermitian_eigen(a, basis=None) -> EigenDecomposition:
 
     Raises NotHermitianError when the input is not Hermitian to working
     precision, DimTooLargeError beyond MAX_DIM, MalformedModelError when
-    its Frobenius norm is not a finite float (a NaN or infinite entry, or a
-    norm above about 1.3e154), and NoConvergenceError if the off-diagonal
-    mass survives ``MAX_SWEEPS`` sweeps.
+    its Frobenius norm is not a finite float below about 1.3e154 (a NaN or
+    infinite entry, or a norm whose square overflows), and NoConvergenceError
+    if the off-diagonal mass survives ``MAX_SWEEPS`` sweeps.
     """
     work = _hermitian_input(a)
     if basis is not None:
@@ -578,9 +586,11 @@ def verify_structure(t, k, f, v, alpha: float,
     check ``KF = 0`` in all adjoint placements, that the range/kernel
     splitting of F reduces T, and the converse witness positivity.
 
-    Only ``T*T`` is eigensolved cold; K, the splitter, ``F*F`` and the
-    witness parts are eigensolved in its eigenvector basis, in which a
-    canonical decomposition is already diagonal.
+    Only ``T*T`` is eigensolved cold; K (positive mode only), the splitter
+    (F if Hermitian, else ``F*F``, whose eigenvalues give every bound on F)
+    and the two witness parts start in its eigenvector basis, in which a
+    canonical decomposition is already diagonal: five solves, four in polar
+    mode.
     """
     tm, km, fm, vm = _operands(t=t, k=k, f=f, v=v)
     alpha = _checked_alpha(alpha)
@@ -601,21 +611,22 @@ def verify_structure(t, k, f, v, alpha: float,
     vv = vm.conj().T @ vm
     iso = _fro(vv @ vv - vv) / max(_fro(vv), 1.0)
 
-    # T*T is the one cold eigensolve; every later solve starts in its
-    # eigenvectors q.  The splitter is F when F is Hermitian, else F*F; its
-    # one eigendecomposition serves the bounds below and the block form
+    # T*T is the one cold eigensolve; later solves start in its eigenvectors
+    # q.  The splitter's eigenvalues give every bound on F (a Hermitian F's
+    # F*F = F**2 tops out at lo**2 or hi**2), and it splits the block form
     q = hermitian_eigen(gram).vectors
     k_psd = f_psd = f_bound = 0.0
     if positive_mode and k_herm <= tol:
         k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
     f_hermitian = f_herm <= tol
     split_eig = hermitian_eigen(fm if f_hermitian else fm.conj().T @ fm, q)
+    lo, hi = float(split_eig.values[0]), float(split_eig.values[-1])
     if not positive_mode:
-        ff_eig = hermitian_eigen(fm.conj().T @ fm, q) if f_hermitian else split_eig
-        f_bound = max(0.0, float(ff_eig.values[-1]) - alpha * alpha) / max(alpha * alpha, 1.0)
+        ff_top = max(lo * lo, hi * hi) if f_hermitian else hi
+        f_bound = max(0.0, ff_top - alpha * alpha) / max(alpha * alpha, 1.0)
     elif f_hermitian:
-        f_psd = max(0.0, -float(split_eig.values[0])) / f_scale
-        f_bound = max(0.0, float(split_eig.values[-1]) - alpha) / max(alpha, 1.0)
+        f_psd = max(0.0, -lo) / f_scale
+        f_bound = max(0.0, hi - alpha) / max(alpha, 1.0)
     v_exact = np.eye(n, dtype=np.complex128) if positive_mode else vm
     witness = converse_witness(km, fm, v_exact, alpha, tm, tol, basis=q)
     off = _block_form(tm, split_eig, tol).off_diagonal_norm / scale

@@ -118,12 +118,9 @@ def _validate_cluster(cl: Cluster, kind: str) -> Cluster:
     # monotone modulus picture every downstream map relies on.
     r = limit.real
     head = cl.deltas.head
-    if cl.side == ABOVE and r < 0 and head > -r + MERGE_TOL:
+    if (r < 0 if cl.side == ABOVE else r > 0) and head > abs(r) + MERGE_TOL:
         raise MalformedModelError(
-            f"above-side deltas (head {head}) overshoot the limit {limit}")
-    if cl.side == BELOW and r > 0 and head > r + MERGE_TOL:
-        raise MalformedModelError(
-            f"below-side deltas (head {head}) overshoot the limit {limit}")
+            f"{cl.side}-side deltas (head {head}) overshoot the limit {limit}")
     return Cluster(limit, cl.side, cl.deltas)
 
 
@@ -154,9 +151,7 @@ class SpectrumModel:
         for cl in self.clusters:
             cl = _validate_cluster(cl, self.kind)
             if cl.deltas.terminating:
-                sign = 1.0 if cl.side == ABOVE else -1.0
-                for d in cl.deltas.terms_:
-                    point_items.append((cl.limit + sign * d, 1))
+                point_items += [(m, 1) for m in cl.members(len(cl.deltas.terms_))]
             else:
                 survivors.append(cl)
 
@@ -212,24 +207,10 @@ def normalize_model(model: SpectrumModel) -> SpectrumModel:
 # structural queries
 
 
-def total_multiplicity(model: SpectrumModel):
-    """Hilbert-space dimension the model spans: an int, or ``inf``."""
-    if model.clusters:
-        return INF
-    return sum(p.mult for p in model.points)
-
-
 def is_finite_dimensional(model: SpectrumModel) -> bool:
-    return total_multiplicity(model) < INF
-
-
-def materialize(model: SpectrumModel, depth: int):
-    """Concrete (value, mult) pairs: points plus the first ``depth`` members
-    of every cluster (cluster members carry multiplicity one)."""
-    out = [(p.value, p.mult) for p in model.points]
-    for cl in model.clusters:
-        out.extend((m, 1) for m in cl.members(depth))
-    return out
+    """Whether the model spans a finite-dimensional space: no cluster, and
+    multiplicities summed exactly (an int, or ``inf``) stay finite."""
+    return not model.clusters and sum(p.mult for p in model.points) < INF
 
 
 # ---------------------------------------------------------------------------

@@ -110,25 +110,19 @@ def _mixing_refutes(a_base, a_mags, b_base, b_mags, depth: int, tol: float):
     then has supremum b attained by no vector.  Returns the climb endpoint,
     or None when no usable member window exists (inconclusive).
     """
+    def window(base, mags, usable):
+        # the depth usable moduli nearest the value, nearest first, the last
+        # repeated to fill; None when no member is usable
+        if mags is None:
+            return [base] * depth
+        kept = [m for m in mags if usable(m)][-depth:][::-1]
+        return kept + kept[-1:] * (depth - len(kept)) if kept else None
+
     ceiling2 = (a_base * a_base + b_base * b_base) / 2.0
-    if a_mags is None:
-        a_seq = [a_base] * depth
-    else:
-        usable = [m for m in a_mags if m * m < ceiling2]
-        if not usable:
-            return None
-        a_seq = list(reversed(usable[-depth:]))
-        while len(a_seq) < depth:
-            a_seq.append(a_seq[-1])
-    if b_mags is None:
-        b_seq = [b_base] * depth
-    else:
-        usable = [m for m in b_mags if m >= b_base - tol]
-        if not usable:
-            return None
-        b_seq = list(reversed(usable[-depth:]))
-        while len(b_seq) < depth:
-            b_seq.append(b_seq[-1])
+    a_seq = window(a_base, a_mags, lambda m: m * m < ceiling2)
+    b_seq = window(b_base, b_mags, lambda m: m >= b_base - tol)
+    if a_seq is None or b_seq is None:
+        return None
 
     b2 = b_base * b_base
     gap0 = b2 - max(x * x for x in a_seq)
@@ -279,7 +273,6 @@ def rank_perturbation_check(base, perturbed, rank_bound: int) -> PerturbationRep
 
 
 FAMILIES = KINDS
-VIOLATION_CODES = VIOLATION_ORDER
 
 # Value layout for seeded models: grid spacing keeps distinct values far
 # apart relative to the merge tolerance, and cluster heads stay under half
@@ -476,7 +469,7 @@ def seeded_models(family: str, count: int, base_seed: int = 0):
         if family == "all":
             tag, model = mixed_model(seed)
         elif family == "violators":
-            code = VIOLATION_CODES[seed % len(VIOLATION_CODES)]
+            code = VIOLATION_ORDER[seed % len(VIOLATION_ORDER)]
             tag, model = f"violator:{code}", generate_violator(seed, code)
         else:
             tag, model = family, generate_model(seed, family)

@@ -142,11 +142,7 @@ class DecaySequence:
     @property
     def head(self) -> float:
         """Largest delta."""
-        if self.kind == EXPLICIT:
-            return self.terms_[0]
-        if self.kind == GEOMETRIC:
-            return self.first
-        return self.scale
+        return self.terms(1)[0]
 
 
 def merge_sequences(seqs) -> DecaySequence:

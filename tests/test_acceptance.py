@@ -33,7 +33,7 @@ from anop.matrix import (
     seeded_unitary,
     verify_structure,
 )
-from anop.model import classify, normalize_model
+from anop.model import classify
 from anop.oracle import (
     FAMILIES,
     TruncationProfile,
@@ -75,7 +75,7 @@ def test_01_classifier_oracle_agreement():
 def test_02_triple_round_trip():
     bad = 0
     for seed in range(500):
-        m = normalize_model(generate_model(seed, "positive"))
+        m = generate_model(seed, "positive")
         t = decompose_positive(m)
         if not same_triple(decompose_positive(recompose(t)), t, tol=1e-12):
             bad += 1
@@ -317,7 +317,7 @@ def test_11_cli_stability(monkeypatch):
     final = io.StringIO()
     code = execute(["recompose"], out=final, err=io.StringIO())
     got = sz.parse_model(json.loads(final.getvalue())["result"])
-    want = normalize_model(sz.parse_model(json.loads(src.read_text())))
+    want = sz.parse_model(json.loads(src.read_text()))
     round_trip = code == 0 and same_model(got, want, tol=1e-12)
 
     _report(11, not unstable and not drifted and round_trip,

@@ -35,7 +35,6 @@ from anop.model import (
     EigenvalueEntry,
     SpectrumModel,
     classify,
-    normalize_model,
 )
 from anop.sequences import DecaySequence
 
@@ -103,7 +102,7 @@ def test_decompose_rejects_non_an_models():
 
 
 def test_recompose_round_trip():
-    m = normalize_model(full_model())
+    m = full_model()
     t = decompose_positive(m)
     assert same_model(recompose(t), m)
     assert same_triple(decompose_positive(recompose(t)), t)
@@ -188,7 +187,7 @@ def test_square_then_sqrt_is_identity():
 
 
 def test_square_agrees_with_squared_spectrum():
-    m = normalize_model(full_model())
+    m = full_model()
     t = decompose_positive(m)
     via_triple = square_triple(t)
     via_spectrum = decompose_positive(gram_spectrum(m))
@@ -311,11 +310,11 @@ def test_structure_normal_carries_phases():
 
 
 def test_structure_eigenvalues_recombine():
-    m = normalize_model(SpectrumModel(NORMAL, (
+    m = SpectrumModel(NORMAL, (
         EigenvalueEntry(2j, INF),
         EigenvalueEntry(-1.0 + 0j, 2),
         EigenvalueEntry(0j, 1),
-    )))
+    ))
     sd = structure_normal(m)
     got = sd.eigenvalues(4)
     expect = {(0j, 1), (-1 + 0j, 2), (2j, INF)}
@@ -387,7 +386,7 @@ def test_gram_squares_moduli():
 
 
 def test_gram_preserves_the_verdict():
-    good = normalize_model(full_model())
+    good = full_model()
     assert classify(gram_spectrum(good)).is_an
     bad = SpectrumModel(POSITIVE, (), (Cluster(1.0 + 0j, BELOW, GEO),))
     assert classify(gram_spectrum(bad)).violations == classify(bad).violations
@@ -399,8 +398,7 @@ def test_adjoint_conjugates_normal_spectra():
     a = adjoint_spectrum(m)
     assert a.points[0].value == 1 - 2j
     assert a.clusters[0].limit == -3j
-    sa = normalize_model(SpectrumModel(SELF_ADJOINT,
-                                       (EigenvalueEntry(-1.0 + 0j, 1),)))
+    sa = SpectrumModel(SELF_ADJOINT, (EigenvalueEntry(-1.0 + 0j, 1),))
     assert adjoint_spectrum(sa) == sa
 
 

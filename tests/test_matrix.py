@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -136,6 +137,20 @@ def test_eigen_refuses_input_of_non_finite_norm(a):
         warnings.simplefilter("error")
         with pytest.raises(MalformedModelError, match="not a finite float"):
             hermitian_eigen(a)
+
+
+def test_overflowing_norm_is_named_as_a_finite_magnitude():
+    # the sum of squares overflows, the norm itself does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedModelError) as eig_exc:
+            hermitian_eigen([[1.0, 1e160], [1e160, 2.0]])
+        with pytest.raises(MalformedModelError) as polar_exc:
+            polar_decompose([[1e160, 0.0], [0.0, 1.0]])
+    assert re.search(r"norm 1\.41421356\d*e\+160 is not a finite float", eig_exc.value.message)
+    assert "polar input norm 1e+160 " in polar_exc.value.message
+    for exc in (eig_exc, polar_exc):
+        assert "inf" not in exc.value.message
 
 
 def test_eigen_solves_large_input_inside_its_range():
@@ -547,6 +562,36 @@ def test_verify_polar_mode_sweeps_only_the_basis_solve(monkeypatch):
     # T*T cold; F*F (shared with the block form) and the two witness parts
     # start in its basis
     assert [eig.sweeps > 0 for _, eig in calls] == [True, False, False, False]
+
+
+def test_verify_polar_mode_with_hermitian_f_solves_f_once(monkeypatch):
+    # a negative phase puts a self-adjoint realization in polar mode with a
+    # Hermitian F = diag(-1, 0, ...) in a seeded basis
+    m = SpectrumModel(SELF_ADJOINT, (EigenvalueEntry(3.0 + 0j, 1),
+                                     EigenvalueEntry(-1.0 + 0j, 1),
+                                     EigenvalueEntry(-2.0 + 0j, INF)))
+    ro = realize_matrix(structure_selfadjoint(m), dim=9, seed=2)
+    assert np.linalg.norm(ro.finite - ro.finite.conj().T) <= 1e-12
+    starts = []
+    real = anop.matrix.hermitian_eigen
+
+    def recording(a, basis=None):
+        starts.append("cold" if basis is None else "warm")
+        return real(a, basis)
+
+    monkeypatch.setattr(anop.matrix, "hermitian_eigen", recording)
+    rep = verify_structure(ro.matrix, ro.compact, ro.finite, ro.isometry, ro.alpha)
+    assert rep.ok and rep.mode == "polar"
+    # T*T cold; F (the splitter, whose eigenvalues also bound F*F) and the
+    # two witness parts start in its basis
+    assert starts == ["cold", "warm", "warm", "warm"]
+    # the F*F bound reads F's most negative eigenvalue: -3 squared tops
+    # alpha**2 = 4 by 5
+    f = 3.0 * ro.finite
+    t = ro.compact - f + ro.alpha * ro.isometry
+    rep = verify_structure(t, ro.compact, f, ro.isometry, ro.alpha)
+    assert "f_below_alpha" in rep.failures
+    assert abs(rep.f_bound_defect - 5.0 / 4.0) <= 1e-12
 
 
 def test_verify_warm_started_psd_defect_matches_lapack(monkeypatch):

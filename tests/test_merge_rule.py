@@ -13,7 +13,6 @@ from anop.model import (
     EigenvalueEntry,
     SpectrumModel,
     classify,
-    normalize_model,
 )
 from anop.oracle import attainment_oracle
 from anop.sequences import MERGE_TOL, DecaySequence, close_groups
@@ -28,15 +27,14 @@ def _clusters(limits, side):
 
 
 def test_chain_of_points_is_one_point():
-    n = normalize_model(SpectrumModel(POSITIVE, tuple(
-        EigenvalueEntry(complex(v, 0.0), 1) for v in CHAIN)))
+    n = SpectrumModel(POSITIVE, tuple(
+        EigenvalueEntry(complex(v, 0.0), 1) for v in CHAIN))
     assert n.points == (EigenvalueEntry(1 + 0j, 3),)
 
 
 def test_chain_of_cluster_limits_is_one_limit_point():
     model = SpectrumModel(POSITIVE, (), _clusters(CHAIN, ABOVE))
-    n = normalize_model(model)
-    assert [cl.limit for cl in n.clusters] == [1 + 0j]
+    assert [cl.limit for cl in model.clusters] == [1 + 0j]
     verdict = classify(model)
     assert verdict.is_an and verdict.violations == ()
 

@@ -22,11 +22,9 @@ from anop.model import (
     SpectrumModel,
     classify,
     is_finite_dimensional,
-    materialize,
     moduli_report,
     modulus_spectrum,
     normalize_model,
-    total_multiplicity,
     descending_prefix,
 )
 from anop.sequences import DecaySequence
@@ -47,29 +45,27 @@ def test_normalize_merges_nearby_points():
         EigenvalueEntry(1.0 + 5e-10 + 0j, 3),
         EigenvalueEntry(2.0 + 0j, 1),
     ))
-    n = normalize_model(m)
-    assert len(n.points) == 2
-    assert n.points[0].mult == 5
-    assert abs(n.points[0].value - 1.0) <= 5e-10
+    assert len(m.points) == 2
+    assert m.points[0].mult == 5
+    assert abs(m.points[0].value - 1.0) <= 5e-10
 
 
 def test_normalize_expands_terminating_clusters():
     # a terminating explicit cluster is sugar for finitely many eigenvalues
     m = SpectrumModel(POSITIVE, (), (
         Cluster(2.0 + 0j, ABOVE, DecaySequence.explicit([0.5, 0.25])),))
-    n = normalize_model(m)
-    assert n.clusters == ()
-    assert [p.value.real for p in n.points] == [2.25, 2.5]
-    assert total_multiplicity(n) == 2
+    assert m.clusters == ()
+    assert [p.value.real for p in m.points] == [2.25, 2.5]
+    assert sum(p.mult for p in m.points) == 2
+    assert is_finite_dimensional(m)
 
 
 def test_normalize_keeps_non_terminating_explicit_clusters():
     m = SpectrumModel(POSITIVE, (), (
         Cluster(2.0 + 0j, ABOVE,
                 DecaySequence.explicit([0.5, 0.25], terminating=False)),))
-    n = normalize_model(m)
-    assert len(n.clusters) == 1
-    assert not is_finite_dimensional(n)
+    assert len(m.clusters) == 1
+    assert not is_finite_dimensional(m)
 
 
 def test_normalize_merges_cluster_slots():
@@ -77,9 +73,8 @@ def test_normalize_merges_cluster_slots():
         Cluster(1.0 + 0j, ABOVE, DecaySequence.geometric(0.1, 0.5)),
         Cluster(1.0 + 0j, ABOVE, DecaySequence.geometric(0.05, 0.5)),
     ))
-    n = normalize_model(m)
-    assert len(n.clusters) == 1
-    ts = n.clusters[0].deltas.terms(4)
+    assert len(m.clusters) == 1
+    ts = m.clusters[0].deltas.terms(4)
     assert ts[0] == 0.1 and ts[1] == 0.05
 
 
@@ -88,8 +83,7 @@ def test_normalize_is_idempotent():
         EigenvalueEntry(-2.0 + 0j, INF),
         EigenvalueEntry(3.0 + 0j, 1),
     ), (Cluster(2.0 + 0j, ABOVE, GEO),))
-    n = normalize_model(m)
-    assert normalize_model(n) == n
+    assert SpectrumModel(m.kind, m.points, m.clusters) == m
 
 
 def test_normalize_model_is_the_identity():
@@ -110,45 +104,35 @@ def test_merged_clusters_are_checked_at_their_shared_limit():
 
 def test_normalize_rejects_unknown_kind():
     with pytest.raises(MalformedModelError):
-        normalize_model(SpectrumModel("unitary", ()))
+        SpectrumModel("unitary", ())
 
 
 def test_normalize_rejects_bad_multiplicity():
     with pytest.raises(MalformedModelError):
-        normalize_model(positive_points((1.0, 0)))
+        positive_points((1.0, 0))
     with pytest.raises(MalformedModelError):
-        normalize_model(positive_points((1.0, 1.5)))
+        positive_points((1.0, 1.5))
     with pytest.raises(MalformedModelError):
-        normalize_model(positive_points((1.0, True)))
+        positive_points((1.0, True))
 
 
 def test_real_kinds_reject_complex_values():
     with pytest.raises(MalformedModelError):
         SpectrumModel(SELF_ADJOINT, (EigenvalueEntry(1 + 1j, 1),))
     # the same value is fine on a normal model
-    normalize_model(SpectrumModel(NORMAL, (EigenvalueEntry(1 + 1j, 1),)))
+    SpectrumModel(NORMAL, (EigenvalueEntry(1 + 1j, 1),))
 
 
 def test_cluster_members_must_not_cross_zero():
     # above-side deltas at a negative limit may touch zero but not pass it
-    ok = SpectrumModel(SELF_ADJOINT, (), (
+    SpectrumModel(SELF_ADJOINT, (), (
         Cluster(-1.0 + 0j, ABOVE, DecaySequence.geometric(1.0, 0.5)),))
-    normalize_model(ok)
     with pytest.raises(MalformedModelError):
         SpectrumModel(SELF_ADJOINT, (), (
             Cluster(-1.0 + 0j, ABOVE, DecaySequence.geometric(1.5, 0.5)),))
     with pytest.raises(MalformedModelError):
         SpectrumModel(POSITIVE, (), (
             Cluster(1.0 + 0j, BELOW, DecaySequence.geometric(1.5, 0.5)),))
-
-
-def test_materialize_lists_points_and_members():
-    m = SpectrumModel(POSITIVE, (EigenvalueEntry(3.0 + 0j, 2),),
-                      (Cluster(1.0 + 0j, ABOVE, GEO),))
-    got = materialize(normalize_model(m), 3)
-    assert (3.0 + 0j, 2) in got
-    assert (1.125 + 0j, 1) in got
-    assert len(got) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +375,7 @@ def test_models_are_built_normal_and_order_free(raw, data):
 @given(small_positive_models())
 def test_classify_stable_under_normalization(m):
     v1 = classify(m)
-    v2 = classify(normalize_model(m))
+    v2 = classify(SpectrumModel(m.kind, m.points, m.clusters))
     assert v1.is_an == v2.is_an
     assert v1.violations == v2.violations
 
@@ -407,5 +391,6 @@ def test_modulus_spectrum_is_positive_and_idempotent(m):
 @given(small_positive_models())
 def test_norm_bounds_every_materialized_value(m):
     r = moduli_report(m)
-    for v, _ in materialize(normalize_model(m), 16):
+    members = [mm for cl in m.clusters for mm in cl.members(16)]
+    for v in [p.value for p in m.points] + members:
         assert abs(v) <= r.operator_norm + 1e-12

@@ -9,6 +9,7 @@ from anop.model import (
     NORMAL,
     POSITIVE,
     SELF_ADJOINT,
+    VIOLATION_ORDER,
     Cluster,
     EigenvalueEntry,
     SpectrumModel,
@@ -17,13 +18,13 @@ from anop.model import (
 from anop.oracle import (
     FAMILIES,
     FAMILY_CYCLE,
-    VIOLATION_CODES,
     TruncationProfile,
     attainment_oracle,
     generate_model,
     generate_violator,
     mixed_model,
     rank_perturbation_check,
+    _mixing_refutes,
 )
 from anop.sequences import DecaySequence
 
@@ -103,6 +104,18 @@ def test_oracle_depth_controls_probing():
     assert not attainment_oracle(m, prof).is_an
 
 
+def test_mixing_probe_is_inconclusive_without_a_member_window():
+    # essential values a = 1 and b = 2: flat values give a climb below 2
+    climbed = _mixing_refutes(1.0, None, 2.0, None, 6, 1e-9)
+    assert 1.9 < climbed < 2.0
+    # a-side: no member below the ceiling sqrt((a**2 + b**2) / 2) ~ 1.58
+    assert _mixing_refutes(1.0, [1.8, 1.7], 2.0, None, 6, 1e-9) is None
+    assert _mixing_refutes(1.0, [1.8, 1.7, 1.2, 1.1], 2.0, None, 6, 1e-9) is not None
+    # b-side: no member at or above b - tol
+    assert _mixing_refutes(1.0, None, 2.0, [1.5, 1.4], 6, 1e-9) is None
+    assert _mixing_refutes(1.0, None, 2.0, [2.5, 2.2, 1.5], 6, 1e-9) == climbed
+
+
 def test_truncation_profile_validation():
     with pytest.raises(ValueError):
         TruncationProfile(depth=1)
@@ -150,8 +163,8 @@ def test_rank_perturbation_random_hermitian():
 def test_generators_are_deterministic():
     for family in FAMILIES:
         assert generate_model(11, family) == generate_model(11, family)
-    assert generate_violator(5, VIOLATION_CODES[0]) == \
-        generate_violator(5, VIOLATION_CODES[0])
+    assert generate_violator(5, VIOLATION_ORDER[0]) == \
+        generate_violator(5, VIOLATION_ORDER[0])
 
 
 def test_generator_kind_matches_family():
@@ -168,7 +181,7 @@ def test_generated_models_are_an():
 
 
 def test_violators_hit_exactly_their_code():
-    for code in VIOLATION_CODES:
+    for code in VIOLATION_ORDER:
         for seed in range(40):
             v = classify(generate_violator(seed, code))
             assert v.violations == (code,), (code, seed, v.violations)

@@ -35,7 +35,6 @@ from anop.model import (
     SpectrumModel,
     classify,
     moduli_report,
-    normalize_model,
 )
 from anop.oracle import FAMILIES, attainment_oracle, generate_model, mixed_model
 from anop.sequences import DecaySequence
@@ -72,8 +71,7 @@ def _emitted(make) -> str:
 
 
 def _spectral_lines(model):
-    n = normalize_model(model)
-    yield _emitted(lambda: sz.verdict_payload(classify(n), moduli_report(n)))
+    yield _emitted(lambda: sz.verdict_payload(classify(model), moduli_report(model)))
     try:
         triple = decompose_positive(model)
     except AnopError as exc:
@@ -86,7 +84,7 @@ def _spectral_lines(model):
     yield _emitted(lambda: sz.model_payload(gram_spectrum(model)))
     yield _emitted(lambda: sz.structure_payload(structure_normal(model)))
     yield _emitted(lambda: sz.model_payload(imaginary_shift(model, 0.5)))
-    yield _emitted(lambda: sz.oracle_payload(attainment_oracle(model)))
+    yield _emitted(lambda: sz.encoded(attainment_oracle(model)))
 
 
 def test_spectral_payloads_are_pinned():

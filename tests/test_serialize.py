@@ -31,7 +31,6 @@ from anop.model import (
     SpectrumModel,
     classify,
     moduli_report,
-    normalize_model,
 )
 from anop.oracle import OracleFailure, OracleReport, PerturbationReport
 from anop.sequences import DecaySequence
@@ -81,10 +80,10 @@ def test_parse_deltas_rejects_garbage():
 
 
 def test_model_round_trip_real_kind():
-    m = normalize_model(SpectrumModel(SELF_ADJOINT, (
+    m = SpectrumModel(SELF_ADJOINT, (
         EigenvalueEntry(-2.0 + 0j, INF),
         EigenvalueEntry(3.0 + 0j, 2),
-    ), (Cluster(2.0 + 0j, ABOVE, DecaySequence.geometric(0.125, 0.5)),)))
+    ), (Cluster(2.0 + 0j, ABOVE, DecaySequence.geometric(0.125, 0.5)),))
     payload = sz.model_payload(m)
     assert payload["points"][0]["value"] == -2.0  # bare number, not a pair
     assert payload["points"][0]["mult"] == "inf"
@@ -92,9 +91,9 @@ def test_model_round_trip_real_kind():
 
 
 def test_model_round_trip_normal_kind():
-    m = normalize_model(SpectrumModel(NORMAL, (
+    m = SpectrumModel(NORMAL, (
         EigenvalueEntry(1 + 2j, 1),
-    ), (Cluster(3j, ABOVE, DecaySequence.harmonic(0.25)),)))
+    ), (Cluster(3j, ABOVE, DecaySequence.harmonic(0.25)),))
     payload = sz.model_payload(m)
     assert payload["points"][0]["value"] == [1.0, 2.0]
     assert payload["clusters"][0]["limit"] == [0.0, 3.0]
@@ -267,21 +266,21 @@ _DEFECTS = '"k_hermitian_defect":0.0,"k_psd_defect":0.0,"kf_residual":0.0,'
 
 #: (payload function, report, emitted text); each -0.0 comes out as 0.0
 PINNED_REPORTS = {
-    "verification-positive": (sz.verification_payload, _verification(
+    "verification-positive": (sz.encoded, _verification(
         True, "positive", recombination_residual=1.5e-16, k_hermitian_defect=-0.0,
         off_diagonal_norm=3.25e-15, witness_min_eig=-0.0),
         '{"f_bound_defect":0.0,"f_hermitian_defect":0.0,"f_psd_defect":0.0,'
         '"failures":[],' + _DEFECTS + '"mode":"positive","normality_defect":0.0,'
         '"off_diagonal_norm":3.25e-15,"ok":true,"partial_isometry_defect":0.0,'
         '"recombination_residual":1.5e-16,"witness_min_eig":0.0}\n'),
-    "verification-polar": (sz.verification_payload, _verification(
+    "verification-polar": (sz.encoded, _verification(
         True, "polar", normality_defect=2e-17, partial_isometry_defect=-0.0,
         f_bound_defect=0.125),
         '{"f_bound_defect":0.125,"f_hermitian_defect":0.0,"f_psd_defect":0.0,'
         '"failures":[],' + _DEFECTS + '"mode":"polar","normality_defect":2e-17,'
         '"off_diagonal_norm":0.0,"ok":true,"partial_isometry_defect":0.0,'
         '"recombination_residual":0.0,"witness_min_eig":0.0}\n'),
-    "verification-failing": (sz.verification_payload, _verification(
+    "verification-failing": (sz.encoded, _verification(
         False, "polar", ("normality", "f_below_alpha"), kf_residual=-0.0,
         normality_defect=0.5, f_bound_defect=3.0, f_hermitian_defect=1e300),
         '{"f_bound_defect":3.0,"f_hermitian_defect":1e+300,"f_psd_defect":0.0,'
@@ -289,14 +288,14 @@ PINNED_REPORTS = {
         '"normality_defect":0.5,"off_diagonal_norm":0.0,"ok":false,'
         '"partial_isometry_defect":0.0,"recombination_residual":0.0,'
         '"witness_min_eig":0.0}\n'),
-    "witness": (sz.witness_payload, WitnessReport(1e-16, -0.0, 0.5, -2.0, True),
+    "witness": (sz.encoded, WitnessReport(1e-16, -0.0, 0.5, -2.0, True),
                 '{"an_predicted":true,"identity_residual":1e-16,'
                 '"partial_isometry_defect":0.0,"script_f_min_eig":-2.0,'
                 '"script_k_min_eig":0.5}\n'),
-    "perturbation": (sz.perturbation_payload, PerturbationReport(False, 3, 2, -0.0, 4.5),
+    "perturbation": (sz.encoded, PerturbationReport(False, 3, 2, -0.0, 4.5),
                      '{"grid_hi":4.5,"grid_lo":0.0,"max_count_gap":3,'
                      '"rank_detected":2,"within_bound":false}\n'),
-    "oracle": (sz.oracle_payload, OracleReport(False, (
+    "oracle": (sz.encoded, OracleReport(False, (
         OracleFailure("unattained_tail", (2.0,), "tail at 2.0"),
         OracleFailure("unattained_mixture", (1.0, -0.0, 1.75), "mixing")), 7, 1),
         '{"failures":[{"detail":"tail at 2.0","kind":"unattained_tail","witness":[2.0]},'
@@ -364,9 +363,9 @@ def test_polar_result_bytes_are_pinned(monkeypatch):
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_report_float_is_refused(bad):
     with pytest.raises(ParseError):
-        sz.verification_payload(_verification(True, "positive", kf_residual=bad))
+        sz.encoded(_verification(True, "positive", kf_residual=bad))
     with pytest.raises(ParseError):
-        sz.oracle_payload(OracleReport(False, (
+        sz.encoded(OracleReport(False, (
             OracleFailure("unattained_tail", (bad,), "tail"),), 1, 0))
     with pytest.raises(ParseError):
         sz.verdict_payload(ANVerdict(True, (), SpectrumModel(POSITIVE)),
