@@ -7,7 +7,6 @@ the converse witness.  Prints worst-case residuals per family and exits
 nonzero if any trial fails either check.
 """
 
-import argparse
 import sys
 
 from anop.decompose import decomposition
@@ -15,43 +14,37 @@ from anop.errors import DimTooSmallError
 from anop.matrix import CHECK_TOL, converse_witness, realize_matrix, verify_structure
 from anop.oracle import FAMILIES, generate_model
 
+#: trials per family
+COUNT = 60
+#: largest realization dimension
+MAX_DIM = 64
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=60,
-                        help="trials per family")
-    parser.add_argument("--max-dim", type=int, default=64,
-                        help="largest realization dimension")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--tol", type=float, default=CHECK_TOL,
-                        help="verification tolerance")
-    args = parser.parse_args(argv)
 
+def main():
     failures = []
     print(f"{'family':<12} {'trials':>6} {'worst recombination':>20} "
           f"{'worst witness':>15}")
     for family in FAMILIES:
         worst_recomb = 0.0
         worst_witness = 0.0
-        for i in range(args.count):
-            seed = args.seed + i
+        for seed in range(COUNT):
             obj = decomposition(generate_model(seed, family))
-            dim = 8 + (seed * 7) % max(1, args.max_dim - 7)
+            dim = 8 + (seed * 7) % max(1, MAX_DIM - 7)
             try:
                 ro = realize_matrix(obj, dim, seed=seed + 1)
             except DimTooSmallError:
-                ro = realize_matrix(obj, args.max_dim, seed=seed + 1)
+                ro = realize_matrix(obj, MAX_DIM, seed=seed + 1)
             rep = verify_structure(ro.matrix, ro.compact, ro.finite,
-                                   ro.isometry, ro.alpha, tol=args.tol)
+                                   ro.isometry, ro.alpha, tol=CHECK_TOL)
             wit = converse_witness(ro.compact, ro.finite, ro.isometry,
-                                   ro.alpha, tol=args.tol)
+                                   ro.alpha, tol=CHECK_TOL)
             worst_recomb = max(worst_recomb, rep.recombination_residual)
             worst_witness = max(worst_witness, wit.identity_residual)
             if not rep.ok:
                 failures.append((family, seed, "verify", rep.failures))
             if not wit.an_predicted:
                 failures.append((family, seed, "witness", ()))
-        print(f"{family:<12} {args.count:>6} {worst_recomb:>20.3e} "
+        print(f"{family:<12} {COUNT:>6} {worst_recomb:>20.3e} "
               f"{worst_witness:>15.3e}")
 
     if failures:

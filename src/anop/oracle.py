@@ -282,7 +282,8 @@ _MAX_POINTS = 4
 _MAX_MULT = 3
 
 
-def _gen_deltas(rng: random.Random, head: float) -> DecaySequence:
+def _gen_deltas(rng: random.Random) -> DecaySequence:
+    head = _SPACING / 2.0
     style = rng.randrange(3)
     if style == 0:
         return DecaySequence.geometric(head * rng.choice([0.5, 1.0]),
@@ -300,82 +301,84 @@ def _grid_values(rng: random.Random, count: int, lo_step: int, hi_step: int):
     return [s * _SPACING for s in sorted(steps)]
 
 
+def _grid_points(rng: random.Random, count: int, lo_step: int, hi_step: int,
+                 phases=None, skip=None) -> list:
+    """Points of seeded multiplicity at the drawn grid values other than
+    ``skip``, each turned by a phase drawn from ``phases`` when given."""
+    return [EigenvalueEntry(complex(v * rng.choice(phases) if phases else v),
+                            rng.randint(1, _MAX_MULT))
+            for v in _grid_values(rng, count, lo_step, hi_step) if v != skip]
+
+
+def _shift(rng: random.Random):
+    """A seeded shift alpha on the grid, with its number of steps."""
+    steps = 2 * rng.randint(2, 6)
+    return steps * _SPACING, steps
+
+
+def _sink(rng: random.Random, limit, as_cluster: bool, side=None):
+    """The essential value ``limit``: a seeded cluster or an infinite
+    multiplicity.  The cluster approaches from ``side``, by default the side
+    away from zero, so that its moduli approach from above."""
+    limit = complex(limit)
+    if not as_cluster:
+        return EigenvalueEntry(limit, INF)
+    if side is None:
+        side = ABOVE if limit.real >= 0 else BELOW
+    return Cluster(limit, side, _gen_deltas(rng))
+
+
+def _zero_point(rng: random.Random, chance: float) -> list:
+    """A point of seeded multiplicity at zero, drawn with ``chance``."""
+    return [EigenvalueEntry(0j, rng.randint(1, 2))] if rng.random() < chance else []
+
+
+def _model(kind: str, items) -> SpectrumModel:
+    """The model of the drawn points and clusters, each kept in draw order."""
+    return SpectrumModel(kind, tuple([x for x in items if isinstance(x, EigenvalueEntry)]),
+                         tuple([x for x in items if isinstance(x, Cluster)]))
+
+
 def _gen_positive(rng: random.Random) -> SpectrumModel:
-    head = _SPACING / 2.0
     case = rng.randrange(4)
-    points: list[EigenvalueEntry] = []
-    clusters: list[Cluster] = []
     if case == 0:
         # compact only: essential minimum zero
-        for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, 17):
-            points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
+        items = _grid_points(rng, rng.randint(1, _MAX_POINTS), 1, 17)
         if rng.random() < 0.6:
-            clusters.append(Cluster(0j, ABOVE, _gen_deltas(rng, head)))
+            items.append(_sink(rng, 0.0, True))
         if rng.random() < 0.3:
-            points.append(EigenvalueEntry(0j, INF))
-        if not points and not clusters:
-            points.append(EigenvalueEntry(complex(_SPACING, 0), 1))
-    else:
-        alpha = rng.randint(2, 6) * _SPACING * 2
-        alpha_steps = round(alpha / _SPACING)
-        if case == 1:
-            # no finite-rank part
-            if rng.random() < 0.5:
-                clusters.append(Cluster(complex(alpha, 0), ABOVE, _gen_deltas(rng, head)))
-            else:
-                points.append(EigenvalueEntry(complex(alpha, 0), INF))
-            for v in _grid_values(rng, rng.randint(1, _MAX_POINTS),
-                                  alpha_steps + 1, alpha_steps + 12):
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
-        elif case == 2:
-            # no compact part: infinite multiplicity holds the shift alone
-            points.append(EigenvalueEntry(complex(alpha, 0), INF))
-            for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, alpha_steps):
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
-            if rng.random() < 0.3:
-                points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
-        else:
-            # both parts present
-            if rng.random() < 0.5:
-                clusters.append(Cluster(complex(alpha, 0), ABOVE, _gen_deltas(rng, head)))
-            else:
-                points.append(EigenvalueEntry(complex(alpha, 0), INF))
-                above = _grid_values(rng, 1, alpha_steps + 1, alpha_steps + 9)
-                points.append(EigenvalueEntry(complex(above[0], 0),
-                                              rng.randint(1, _MAX_MULT)))
-            for v in _grid_values(rng, rng.randint(1, 2),
-                                  alpha_steps + 1, alpha_steps + 12):
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
-            below = _grid_values(rng, rng.randint(1, 2), 1, alpha_steps)
-            for v in below:
-                points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
-    return SpectrumModel(POSITIVE, tuple(points), tuple(clusters))
+            items.append(_sink(rng, 0.0, False))
+        return _model(POSITIVE, items)
+    alpha, steps = _shift(rng)
+    if case == 2:
+        # no compact part: infinite multiplicity holds the shift alone
+        return _model(POSITIVE, [_sink(rng, alpha, False)]
+                      + _grid_points(rng, rng.randint(1, _MAX_POINTS), 1, steps)
+                      + _zero_point(rng, 0.3))
+    # case 1 has no finite-rank part, case 3 has both parts
+    as_cluster = rng.random() < 0.5
+    items = [_sink(rng, alpha, as_cluster)]
+    if case == 3 and not as_cluster:
+        items += _grid_points(rng, 1, steps + 1, steps + 9)
+    items += _grid_points(rng, rng.randint(1, _MAX_POINTS if case == 1 else 2),
+                          steps + 1, steps + 12)
+    if case == 3:
+        items += _grid_points(rng, rng.randint(1, 2), 1, steps)
+    return _model(POSITIVE, items)
+
+
+#: the self-adjoint generator's essential values: (sign of alpha, as a cluster)
+_SELFADJOINT_SINKS = ((1.0, False), (-1.0, False), (1.0, True), (-1.0, True))
 
 
 def _gen_selfadjoint(rng: random.Random) -> SpectrumModel:
-    head = _SPACING / 2.0
-    alpha = rng.randint(2, 6) * _SPACING * 2
-    alpha_steps = round(alpha / _SPACING)
-    points: list[EigenvalueEntry] = []
-    clusters: list[Cluster] = []
-    sinks = rng.sample(["plus_inf", "minus_inf", "plus_cluster", "minus_cluster"],
-                       rng.randint(1, 2))
-    if "plus_inf" in sinks:
-        points.append(EigenvalueEntry(complex(alpha, 0), INF))
-    if "minus_inf" in sinks:
-        points.append(EigenvalueEntry(complex(-alpha, 0), INF))
-    if "plus_cluster" in sinks:
-        clusters.append(Cluster(complex(alpha, 0), ABOVE, _gen_deltas(rng, head)))
-    if "minus_cluster" in sinks:
-        clusters.append(Cluster(complex(-alpha, 0), BELOW, _gen_deltas(rng, head)))
-    for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, alpha_steps + 12):
-        if abs(v - alpha) < _SPACING / 2:
-            continue
-        sign = rng.choice([-1.0, 1.0])
-        points.append(EigenvalueEntry(complex(sign * v, 0), rng.randint(1, _MAX_MULT)))
-    if rng.random() < 0.3:
-        points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
-    return SpectrumModel(SELF_ADJOINT, tuple(points), tuple(clusters))
+    alpha, steps = _shift(rng)
+    chosen = rng.sample(_SELFADJOINT_SINKS, rng.randint(1, 2))
+    items = [_sink(rng, sign * alpha, as_cluster)
+             for sign, as_cluster in _SELFADJOINT_SINKS if (sign, as_cluster) in chosen]
+    items += _grid_points(rng, rng.randint(1, _MAX_POINTS), 1, steps + 12,
+                          (-1.0, 1.0), skip=alpha)
+    return _model(SELF_ADJOINT, items + _zero_point(rng, 0.3))
 
 
 _PHASES = tuple(complex(math.cos(k * math.pi / 6.0), math.sin(k * math.pi / 6.0))
@@ -383,38 +386,23 @@ _PHASES = tuple(complex(math.cos(k * math.pi / 6.0), math.sin(k * math.pi / 6.0)
 
 
 def _gen_normal(rng: random.Random) -> SpectrumModel:
-    head = _SPACING / 2.0
-    alpha = rng.randint(2, 6) * _SPACING * 2
-    alpha_steps = round(alpha / _SPACING)
-    points: list[EigenvalueEntry] = []
-    clusters: list[Cluster] = []
-    for _ in range(rng.randint(1, 2)):
-        phase = rng.choice(_PHASES)
-        if rng.random() < 0.5:
-            points.append(EigenvalueEntry(alpha * phase, INF))
-        else:
-            side = ABOVE if phase.real >= 0 else BELOW
-            clusters.append(Cluster(alpha * phase, side, _gen_deltas(rng, head)))
-    for v in _grid_values(rng, rng.randint(1, _MAX_POINTS), 1, alpha_steps + 12):
-        if abs(v - alpha) < _SPACING / 2:
-            continue
-        points.append(EigenvalueEntry(v * rng.choice(_PHASES),
-                                      rng.randint(1, _MAX_MULT)))
-    if rng.random() < 0.2:
-        points.append(EigenvalueEntry(0j, rng.randint(1, 2)))
-    return SpectrumModel(NORMAL, tuple(points), tuple(clusters))
+    alpha, steps = _shift(rng)
+    items = [_sink(rng, alpha * rng.choice(_PHASES), rng.random() >= 0.5)
+             for _ in range(rng.randint(1, 2))]
+    items += _grid_points(rng, rng.randint(1, _MAX_POINTS), 1, steps + 12,
+                          _PHASES, skip=alpha)
+    return _model(NORMAL, items + _zero_point(rng, 0.2))
+
+
+_GENERATORS = {POSITIVE: _gen_positive, SELF_ADJOINT: _gen_selfadjoint,
+               NORMAL: _gen_normal}
 
 
 def generate_model(seed: int, family: str) -> SpectrumModel:
     """Seeded AN model of one of the three kinds."""
-    rng = random.Random(("model", family, seed).__repr__())
-    if family == POSITIVE:
-        return _gen_positive(rng)
-    if family == SELF_ADJOINT:
-        return _gen_selfadjoint(rng)
-    if family == NORMAL:
-        return _gen_normal(rng)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if family not in _GENERATORS:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _GENERATORS[family](random.Random(("model", family, seed).__repr__()))
 
 
 def _maybe_sign_flip(rng: random.Random, model: SpectrumModel) -> SpectrumModel:
@@ -478,43 +466,25 @@ def seeded_models(family: str, count: int, base_seed: int = 0):
 
 def generate_violator(seed: int, code: str) -> SpectrumModel:
     """Seeded model violating exactly the requested condition."""
-    rng = random.Random(("violator", code, seed).__repr__())
-    head = _SPACING / 2.0
-    points: list[EigenvalueEntry] = []
-    clusters: list[Cluster] = []
-    if code == NEGATIVE_VALUE:
-        neg = -rng.randint(1, 8) * _SPACING
-        points.append(EigenvalueEntry(complex(neg, 0), rng.randint(1, _MAX_MULT)))
-        points.append(EigenvalueEntry(complex(rng.randint(2, 6) * _SPACING * 2, 0), INF))
-        return SpectrumModel(POSITIVE, tuple(points), ())
-    if code == MULTIPLE_LIMIT_POINTS:
-        lo, hi = _grid_values(rng, 2, 2, 14)
-        if hi - lo < 2 * _SPACING:
-            hi = lo + 2 * _SPACING
-        clusters.append(Cluster(complex(lo, 0), ABOVE, _gen_deltas(rng, head)))
-        clusters.append(Cluster(complex(hi, 0), ABOVE, _gen_deltas(rng, head)))
-    elif code == LIMIT_FROM_BELOW:
-        limit = rng.randint(4, 10) * _SPACING
-        clusters.append(Cluster(complex(limit, 0), BELOW, _gen_deltas(rng, head)))
-    elif code == MULTIPLE_INFINITE_MULTIPLICITIES:
-        lo, hi = _grid_values(rng, 2, 2, 14)
-        if hi - lo < 2 * _SPACING:
-            hi = lo + 2 * _SPACING
-        points.append(EigenvalueEntry(complex(lo, 0), INF))
-        points.append(EigenvalueEntry(complex(hi, 0), INF))
-    elif code == LIMIT_NEQ_INFINITE_MULT:
-        lo, hi = _grid_values(rng, 2, 2, 14)
-        if hi - lo < 2 * _SPACING:
-            hi = lo + 2 * _SPACING
-        if rng.random() < 0.5:
-            clusters.append(Cluster(complex(lo, 0), ABOVE, _gen_deltas(rng, head)))
-            points.append(EigenvalueEntry(complex(hi, 0), INF))
-        else:
-            points.append(EigenvalueEntry(complex(lo, 0), INF))
-            clusters.append(Cluster(complex(hi, 0), ABOVE, _gen_deltas(rng, head)))
-    else:
+    if code not in VIOLATION_ORDER:
         raise ValueError(f"unknown violation code {code!r}")
+    rng = random.Random(("violator", code, seed).__repr__())
+    if code == NEGATIVE_VALUE:
+        neg = EigenvalueEntry(complex(-rng.randint(1, 8) * _SPACING),
+                              rng.randint(1, _MAX_MULT))
+        return _model(POSITIVE, [neg, _sink(rng, _shift(rng)[0], False)])
+    if code == LIMIT_FROM_BELOW:
+        items = [_sink(rng, rng.randint(4, 10) * _SPACING, True, BELOW)]
+    else:
+        # two essential values at least two steps apart
+        lo, hi = _grid_values(rng, 2, 2, 14)
+        if code == LIMIT_NEQ_INFINITE_MULT:
+            low_cluster = rng.random() < 0.5
+            clustered = (low_cluster, not low_cluster)
+        else:
+            clustered = (code == MULTIPLE_LIMIT_POINTS,) * 2
+        items = [_sink(rng, lo, clustered[0]),
+                 _sink(rng, max(hi, lo + 2 * _SPACING), clustered[1])]
     if rng.random() < 0.5:
-        for v in _grid_values(rng, rng.randint(1, 2), 15, 24):
-            points.append(EigenvalueEntry(complex(v, 0), rng.randint(1, _MAX_MULT)))
-    return _maybe_sign_flip(rng, SpectrumModel(POSITIVE, tuple(points), tuple(clusters)))
+        items += _grid_points(rng, rng.randint(1, 2), 15, 24)
+    return _maybe_sign_flip(rng, _model(POSITIVE, items))

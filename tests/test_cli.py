@@ -429,6 +429,90 @@ def test_structurally_invalid_triple_exits_one_before_its_model_is_checked(monke
     assert json.loads(out)["diagnostics"][0]["code"] == "PARSE"
 
 
+def _cluster(limit, first=0.25):
+    """The geometric cluster of ``specs/uniqueness_full.json``, at ``limit``."""
+    return {"limit": limit, "side": "above",
+            "deltas": {"kind": "geometric", "first": first, "ratio": 0.25}}
+
+
+def _triple(k_kind="positive", k_clusters=(), f=()):
+    """A triple document at alpha 2 whose compact part has a point at 1.5."""
+    return {"alpha": 2.0, "identity_multiplicity": 0, "f": list(f),
+            "k": {"kind": k_kind, "points": [{"value": 1.5, "mult": 1}],
+                  "clusters": list(k_clusters)}}
+
+
+#: (command, document, exit code, diagnostic code, message)
+DIAGNOSTIC_CASES = {
+    "model-is-a-list": ("classify", [1, 2], 1, "PARSE",
+                        "model must be a JSON object, got list"),
+    "points-object": ("classify", {"kind": "positive", "points": {"value": 1.0, "mult": 1}},
+                      1, "PARSE", "points and clusters must be lists"),
+    "point-value-string": ("classify", {"kind": "positive", "points": [{"value": "x", "mult": 1}]},
+                           1, "PARSE",
+                           "point value must be a number or [re, im] pair, got 'x'"),
+    "geometric-first-string": ("classify", {"kind": "positive", "clusters": [_cluster(2.0, "a")]},
+                               1, "PARSE", "first must be a number, got 'a'"),
+    "blocks-object": ("verify", {"alpha": 1.0, "blocks": {}, "clusters": [],
+                                 "kernel_multiplicity": 0},
+                      1, "PARSE", "blocks and clusters must be lists"),
+    "null-result": ("verify", {"schema_version": "1", "command": "structure",
+                               "diagnostics": [], "result": None},
+                    1, "PARSE", "input document carries no result payload"),
+    "unknown-document": ("verify", {"foo": 1}, 1, "PARSE",
+                         "input must be a model, triple, or structure document"),
+    "k-selfadjoint": ("recompose", _triple(k_kind="selfadjoint"), 2, "MALFORMED",
+                      "k_entries must be a positive model"),
+    "k-two-clusters": ("recompose", _triple(k_clusters=[_cluster(0.0), _cluster(0.5)]),
+                       2, "MALFORMED", "compact part admits at most one cluster"),
+    "f-complex": ("recompose", _triple(f=[{"value": [1.0, 0.5], "mult": 1}]), 2, "MALFORMED",
+                  "finite-rank part values must be real"),
+    "f-mult-inf": ("recompose", _triple(f=[{"value": 1.0, "mult": "inf"}]), 2, "MALFORMED",
+                   "finite-rank part multiplicities must be finite"),
+    "f-mult-zero": ("recompose", _triple(f=[{"value": 1.0, "mult": 0}]), 2, "MALFORMED",
+                    "finite-rank part multiplicity 0 must be a positive integer"),
+    "negative-cluster": ("decompose", {"kind": "positive",
+                                       "points": [{"value": 1.0, "mult": 1}],
+                                       "clusters": [_cluster(-1.0)]},
+                         2, "NEGATIVE_VALUE", "model declares negative spectral values"),
+}
+
+
+@pytest.mark.parametrize("command,doc,exit_code,diag_code,message",
+                         DIAGNOSTIC_CASES.values(), ids=DIAGNOSTIC_CASES)
+def test_refused_document_names_its_fault(command, doc, exit_code, diag_code, message,
+                                          monkeypatch):
+    argv = [command, "-"] + (["--dim", "6"] if command == "verify" else [])
+    code, out, err = run_cli(argv, stdin_text=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, err) == (exit_code, "")
+    [line] = out.splitlines()
+    env = json.loads(line)
+    assert env["result"] is None
+    assert env["diagnostics"] == [{"code": diag_code, "message": message}]
+
+
+def test_recompose_moves_a_near_zero_compact_cluster_to_alpha(monkeypatch):
+    doc = _triple(k_clusters=[_cluster(5e-10)])
+    code, out, _ = run_cli(["recompose", "-"], stdin_text=json.dumps(doc),
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    [cluster] = json.loads(out)["result"]["clusters"]
+    assert cluster["limit"] == 2.0
+
+
+def test_positive_model_with_a_negative_cluster_is_refused_by_every_check(monkeypatch):
+    doc = json.dumps({"kind": "positive", "points": [{"value": 1.0, "mult": 1}],
+                      "clusters": [_cluster(-1.0)]})
+    code, out, _ = run_cli(["classify", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    assert "NEGATIVE_VALUE" in json.loads(out)["result"]["violations"]
+    code, out, _ = run_cli(["oracle", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert not result["is_an"]
+    assert "declared_negative" in [f["kind"] for f in result["failures"]]
+
+
 def test_invert_matrix_reads_model_or_triple(monkeypatch):
     src = str(SPECS / "uniqueness_full.json")
     argv = ["--dim", "12", "--seed", "5"]

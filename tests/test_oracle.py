@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anop.serialize as sz
 from anop.model import (
     ABOVE,
     BELOW,
@@ -24,6 +27,7 @@ from anop.oracle import (
     generate_violator,
     mixed_model,
     rank_perturbation_check,
+    seeded_models,
     _mixing_refutes,
 )
 from anop.sequences import DecaySequence
@@ -114,6 +118,14 @@ def test_mixing_probe_is_inconclusive_without_a_member_window():
     # b-side: no member at or above b - tol
     assert _mixing_refutes(1.0, None, 2.0, [1.5, 1.4], 6, 1e-9) is None
     assert _mixing_refutes(1.0, None, 2.0, [2.5, 2.2, 1.5], 6, 1e-9) == climbed
+    # a b-member sits below an a-member
+    assert _mixing_refutes(1.0, [1.55], 2.0, [1.5], 4, 0.5) is None
+    # the weight leaves (0, 1): a member at 1.9 cannot carry the climb past it
+    assert _mixing_refutes(1.0, None, 2.0, [1.9], 6, 0.2) is None
+    assert 1.98 < _mixing_refutes(1.0, None, 2.0, None, 6, 0.2) < 2.0
+    # rounding stalls the climb on values 1e-8 apart, which depth 20 survives
+    assert _mixing_refutes(1.0, None, 1.0 + 1e-8, None, 80, 1e-9) is None
+    assert _mixing_refutes(1.0, None, 1.0 + 1e-8, None, 20, 1e-9) is not None
 
 
 def test_truncation_profile_validation():
@@ -185,6 +197,26 @@ def test_violators_hit_exactly_their_code():
         for seed in range(40):
             v = classify(generate_violator(seed, code))
             assert v.violations == (code,), (code, seed, v.violations)
+
+
+#: sha256 over the emitted models of the seeded generators; any change that
+#: moves one draw of any generator fails here
+GENERATOR_SHA256 = "4c7fd1269cf49ad95e3d8588868ff0efcbecb9df5446ef170925299172a6e596"
+
+
+def test_seeded_models_are_pinned():
+    h = hashlib.sha256()
+    for family in FAMILIES:
+        for seed in range(1000):
+            h.update(sz.emit(sz.model_payload(generate_model(seed, family))).encode())
+    for code in VIOLATION_ORDER:
+        for seed in range(1000):
+            h.update(sz.emit(sz.model_payload(generate_violator(seed, code))).encode())
+    for family in ("all", "violators") + tuple(FAMILIES):
+        for seed, tag, model in seeded_models(family, 300, 7):
+            h.update(f"{seed} {tag} ".encode())
+            h.update(sz.emit(sz.model_payload(model)).encode())
+    assert h.hexdigest() == GENERATOR_SHA256
 
 
 def test_generate_model_rejects_unknown_family():
