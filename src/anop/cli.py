@@ -147,44 +147,34 @@ def _realized(args, parse=_realizable):
     return realize_matrix(parse(_load(args)), args.dim, args.seed)
 
 
-def _verification(args, ro) -> dict:
+def _verification(args, ro):
     """The check shared by ``verify`` and ``realize --verify``."""
     from .matrix import CHECK_TOL, verify_structure
-    report = verify_structure(ro.matrix, ro.compact, ro.finite,
-                              ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
-    return sz.encoded(report)
+    return verify_structure(ro.matrix, ro.compact, ro.finite,
+                            ro.isometry, ro.alpha, _tol(args, CHECK_TOL))
 
 
 def _cmd_realize(args):
     ro = _realized(args)
-    result = {
-        "dim": args.dim,
-        "seed": args.seed,
-        "alpha": sz._scrub(ro.alpha),
-        "labels": list(ro.labels),
-        "diagonal": [sz._value_out(d, None) for d in ro.diagonal],
-        "matrix": sz.matrix_payload(ro.matrix),
-    }
-    if args.verify:
-        result["verification"] = _verification(args, ro)
+    result = sz.encoded({"dim": args.dim, "seed": args.seed, "alpha": ro.alpha,
+                         "labels": ro.labels, "diagonal": ro.diagonal,
+                         "matrix": ro.matrix})
+    if args.verify:  # checked once encoded: a non-finite entry fails as PARSE first
+        result["verification"] = sz.encoded(_verification(args, ro))
     return result
 
 
 def _cmd_verify(args):
-    out = _verification(args, _realized(args))
-    out["dim"] = args.dim
-    out["seed"] = args.seed
-    return out
+    report = _verification(args, _realized(args))
+    return sz.encoded({"dim": args.dim, "seed": args.seed, **vars(report)})
 
 
 def _cmd_blocks(args):
-    from .matrix import CHECK_TOL, block_form
+    from .matrix import CHECK_TOL, _gram, block_form
     ro = _realized(args)
-    splitter = ro.finite
-    if args.splitter == "gram":
-        splitter = ro.finite.conj().T @ ro.finite
+    splitter = _gram(ro.finite, "F") if args.splitter == "gram" else ro.finite
     bf = block_form(ro.matrix, splitter, _tol(args, CHECK_TOL))
-    return {"splitter": args.splitter, **sz.encoded(bf)}
+    return sz.encoded({"splitter": args.splitter, **vars(bf)})
 
 
 def _cmd_invert_matrix(args):
@@ -193,12 +183,8 @@ def _cmd_invert_matrix(args):
     ro = _realized(args, _positive_triple)
     inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, CHECK_TOL))
     residual = _fro(ro.matrix @ inv - np.eye(args.dim)) / math.sqrt(args.dim)
-    return {
-        "dim": args.dim,
-        "seed": args.seed,
-        "residual": sz._scrub(residual),
-        "inverse": sz.matrix_payload(inv),
-    }
+    return sz.encoded({"dim": args.dim, "seed": args.seed, "residual": residual,
+                       "inverse": inv})
 
 
 def _cmd_polar(args):
@@ -208,7 +194,7 @@ def _cmd_polar(args):
     m = sz.parse_matrix(raw)
     pair = polar_decompose(m, _tol(args, POLAR_TOL))
     residual = _fro(m - pair.isometry @ pair.modulus) / max(_fro(m), 1.0)
-    return {"residual": sz._scrub(residual), **sz.encoded(pair)}
+    return sz.encoded({"residual": residual, **vars(pair)})
 
 
 def _cmd_oracle(args):

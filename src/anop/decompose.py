@@ -312,12 +312,16 @@ def recompose(triple: PositiveTriple) -> SpectrumModel:
 # triple maps
 
 
-def _map_k_model(k: SpectrumModel, fn):
-    """Apply a strictly increasing map fixing zero to the compact part:
-    ``(points, clusters)``, one image per source entry, unmerged."""
-    points = tuple(EigenvalueEntry(complex(fn(p.value.real), 0.0), p.mult)
-                   for p in k.points)
-    return points, tuple(mapped_cluster(cl, lambda z: fn(z.real)) for cl in k.clusters)
+def _mapped_parts(triple: PositiveTriple, k_fn, f_fn):
+    """Images of a triple's parts, one per source entry, unmerged: the
+    compact part's ``(points, clusters)`` under ``k_fn``, a strictly
+    increasing map fixing zero, and the finite-rank entries under ``f_fn``."""
+    def image(entries, fn):
+        return tuple(EigenvalueEntry(complex(fn(e.value.real), 0.0), e.mult)
+                     for e in entries)
+    k = triple.k_entries
+    clusters = tuple(mapped_cluster(cl, lambda z: k_fn(z.real)) for cl in k.clusters)
+    return (image(k.points, k_fn), clusters), image(triple.f_entries, f_fn)
 
 
 def square_triple(triple: PositiveTriple) -> PositiveTriple:
@@ -325,10 +329,8 @@ def square_triple(triple: PositiveTriple) -> PositiveTriple:
     ``alpha -> alpha**2``.  Cluster deltas are re-presented explicitly since
     the square map does not preserve the symbolic generators."""
     a = triple.alpha
-    k = _map_k_model(triple.k_entries, lambda x: x * x + 2.0 * a * x)
-    f = tuple(EigenvalueEntry(complex(2.0 * a * e.value.real - e.value.real ** 2, 0.0),
-                              e.mult)
-              for e in triple.f_entries)
+    k, f = _mapped_parts(triple, lambda x: x * x + 2.0 * a * x,
+                         lambda x: 2.0 * a * x - x ** 2)
     return PositiveTriple(a * a, SpectrumModel(POSITIVE, *k), f,
                           triple.identity_multiplicity)
 
@@ -339,10 +341,8 @@ def sqrt_triple(triple: PositiveTriple) -> PositiveTriple:
     ``f -> sqrt(alpha) - sqrt(alpha - f)``."""
     a = triple.alpha
     root = math.sqrt(a)
-    k = _map_k_model(triple.k_entries, lambda x: math.sqrt(a + x) - root)
-    f = tuple(EigenvalueEntry(
-        complex(root - math.sqrt(max(a - e.value.real, 0.0)), 0.0), e.mult)
-        for e in triple.f_entries)
+    k, f = _mapped_parts(triple, lambda x: math.sqrt(a + x) - root,
+                         lambda x: root - math.sqrt(max(a - x, 0.0)))
     return PositiveTriple(root, SpectrumModel(POSITIVE, *k), f,
                           triple.identity_multiplicity)
 
@@ -356,12 +356,9 @@ def invert_triple(triple: PositiveTriple) -> AMForm:
         raise AlphaZeroError("compact operators on infinite dimensions have no bounded inverse")
     if not triple.is_injective():
         raise NotInjectiveError("finite-rank part reaches alpha: kernel is nontrivial")
-    beta = 1.0 / a
-    k1, k1_clusters = _map_k_model(triple.k_entries, lambda x: x / (a * (x + a)))
-    f1 = tuple(EigenvalueEntry(
-        complex(e.value.real / (a * (a - e.value.real)), 0.0), e.mult)
-        for e in triple.f_entries)
-    return AMForm(beta, k1, k1_clusters, f1, triple.identity_multiplicity)
+    k1, f1 = _mapped_parts(triple, lambda x: x / (a * (x + a)),
+                           lambda x: x / (a * (a - x)))
+    return AMForm(1.0 / a, *k1, f1, triple.identity_multiplicity)
 
 
 # ---------------------------------------------------------------------------

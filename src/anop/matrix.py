@@ -20,7 +20,8 @@ later :func:`hermitian_eigen` call (K in positive mode, the splitter F or
 canonical realization are diagonal in that basis, so those solves mostly
 take no sweep.  The stopping test is the same as for a cold solve, so a
 basis that fits ``X`` poorly costs sweeps, not accuracy.  The solver takes
-input whose Frobenius norm is a finite float, below about 1.3e154.
+input whose Frobenius norm is a finite float, below about 1.3e154; a ``T*T``
+or ``F*F`` beyond that is refused as it is formed, naming T's or F's norm.
 """
 
 from __future__ import annotations
@@ -214,12 +215,26 @@ def _as_square(a, what: str) -> np.ndarray:
 
 def _fro(a) -> float:
     """Frobenius norm, scaled by the largest entry if the sum of squares overflows."""
-    total = float(np.sum(np.abs(a) ** 2))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(a) ** 2))
     if total == math.inf:
         big = float(np.max(np.abs(a)))
         if big < math.inf:
             return big * math.sqrt(float(np.sum(np.abs(a / big) ** 2)))
     return math.sqrt(total)
+
+
+def _gram(m, name: str) -> np.ndarray:
+    """``m* m``, refused where the eigensolver would refuse it, by a message
+    that names the norm of ``m``, the matrix the caller gave."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.conj().T @ m
+        norm = _fro(gram)
+    if not math.isfinite(norm * norm):
+        raise MalformedModelError(
+            f"{name} norm {_fro(m)} is too large for the eigensolver to take "
+            f"{name}*{name}, whose norm must be a float below about 1.3e154")
+    return gram
 
 
 def _operands(**named) -> list[np.ndarray]:
@@ -292,8 +307,7 @@ def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
     not a float below about 1.1e77 raises MalformedModelError before the
     product is formed."""
     t = _as_square(a, "polar input")
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = _fro(t)
+    norm = _fro(t)
     if not math.isfinite(norm * norm * norm * norm):
         raise MalformedModelError(
             f"polar input norm {norm} is not a float below about 1.1e77, "
@@ -596,6 +610,8 @@ def verify_structure(t, k, f, v, alpha: float,
     alpha = _checked_alpha(alpha)
     n = tm.shape[0]
     scale = max(_fro(tm), 1.0)
+    # refused before any other product of a too-large realization overflows
+    gram = _gram(tm, "T")
     k_scale = max(_fro(km), 1.0)
     f_scale = max(_fro(fm), 1.0)
 
@@ -606,7 +622,6 @@ def verify_structure(t, k, f, v, alpha: float,
              _fro(km @ fm.conj().T)) / (k_scale * f_scale)
     k_herm = _fro(km - km.conj().T) / k_scale
     f_herm = _fro(fm - fm.conj().T) / f_scale
-    gram = tm.conj().T @ tm
     normality = _fro(gram - tm @ tm.conj().T) / (scale * scale)
     vv = vm.conj().T @ vm
     iso = _fro(vv @ vv - vv) / max(_fro(vv), 1.0)
@@ -619,7 +634,7 @@ def verify_structure(t, k, f, v, alpha: float,
     if positive_mode and k_herm <= tol:
         k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
     f_hermitian = f_herm <= tol
-    split_eig = hermitian_eigen(fm if f_hermitian else fm.conj().T @ fm, q)
+    split_eig = hermitian_eigen(fm if f_hermitian else _gram(fm, "F"), q)
     lo, hi = float(split_eig.values[0]), float(split_eig.values[-1])
     if not positive_mode:
         ff_top = max(lo * lo, hi * hi) if f_hermitian else hi

@@ -124,10 +124,6 @@ def _validate_cluster(cl: Cluster, kind: str) -> Cluster:
     return Cluster(limit, cl.side, cl.deltas)
 
 
-def _sort_key(v: complex):
-    return (v.real, v.imag)
-
-
 @dataclass(frozen=True)
 class SpectrumModel:
     """A spectrum in normal form, which it builds for itself: validated,
@@ -160,19 +156,17 @@ class SpectrumModel:
             EigenvalueEntry(g[0][0], sum(m for _, m in g))
             for g in close_groups(point_items, key=lambda it: it[0]))
 
-        # merge clusters sharing a (limit, side) slot
-        slots: dict[tuple, list[Cluster]] = {}
-        for group in close_groups(survivors, key=lambda cl: cl.limit):
-            for cl in group:
-                slots.setdefault((_sort_key(group[0].limit), cl.side), []).append(cl)
+        # merge each group's clusters one side at a time: groups come out in
+        # (real, imag) order of their least limit, and "above" sorts first
         merged_clusters = []
-        for (limit_key, side), group in slots.items():
-            deltas = (group[0].deltas if len(group) == 1
-                      else merge_sequences([g.deltas for g in group]))
-            # checked again where it now sits: at its group's least limit
-            merged_clusters.append(
-                _validate_cluster(Cluster(complex(*limit_key), side, deltas), self.kind))
-        merged_clusters.sort(key=lambda c: (_sort_key(c.limit), c.side))
+        for group in close_groups(survivors, key=lambda cl: cl.limit):
+            for side in (ABOVE, BELOW):
+                same = [cl.deltas for cl in group if cl.side == side]
+                if same:
+                    deltas = same[0] if len(same) == 1 else merge_sequences(same)
+                    # checked again where it now sits: at its group's least limit
+                    merged_clusters.append(_validate_cluster(
+                        Cluster(group[0].limit, side, deltas), self.kind))
 
         object.__setattr__(self, "points", merged_points)
         object.__setattr__(self, "clusters", tuple(merged_clusters))

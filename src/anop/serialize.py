@@ -8,9 +8,9 @@ finitely-many-eigenvalues sugar from a genuine limit point written out
 term by term.  Emission is deterministic: keys sorted, compact separators,
 negative zeros scrubbed, one trailing newline.
 
-A report's result keys are its dataclass fields, emitted by :func:`encoded`;
-only the Fredholm report (kernel dimension ``"inf"``) and the verdict (moduli
-nested, modulus model left out) keep a hand-written shell.
+A report's result keys are its dataclass fields, emitted by :func:`encoded`,
+which also writes every other result built of plain values: the verdict, the
+Fredholm report and the matrix commands' results are dicts it encodes.
 """
 
 from __future__ import annotations
@@ -149,12 +149,6 @@ def parse_deltas(obj) -> DecaySequence:
 # spectrum models
 
 
-def _clusters_payload(clusters, kind: str | None) -> list:
-    return [{"limit": _value_out(cl.limit, kind),
-             "side": cl.side,
-             "deltas": deltas_payload(cl.deltas)} for cl in clusters]
-
-
 def _clusters_in(raw_clusters, what: str) -> tuple:
     """Cluster list of a model or of a structure; ``what`` names the item
     in field errors."""
@@ -171,11 +165,18 @@ def _clusters_in(raw_clusters, what: str) -> tuple:
 
 
 def model_payload(model: SpectrumModel) -> dict:
+    return _spectrum_payload(model.kind, model.points, model.clusters)
+
+
+def _spectrum_payload(kind: str | None, points, clusters) -> dict:
+    """The model writer for any points and clusters; kind None writes pairs."""
     return {
-        "kind": model.kind,
-        "points": [{"value": _value_out(p.value, model.kind),
-                    "mult": _mult_out(p.mult)} for p in model.points],
-        "clusters": _clusters_payload(model.clusters, model.kind),
+        "kind": kind,
+        "points": [{"value": _value_out(p.value, kind),
+                    "mult": _mult_out(p.mult)} for p in points],
+        "clusters": [{"limit": _value_out(cl.limit, kind),
+                      "side": cl.side,
+                      "deltas": deltas_payload(cl.deltas)} for cl in clusters],
     }
 
 
@@ -195,11 +196,6 @@ def parse_model(obj) -> SpectrumModel:
 # triples, structures, AM forms
 
 
-def _entries_payload(entries) -> list:
-    return [{"value": _scrub(e.value.real), "mult": _mult_out(e.mult)}
-            for e in entries]
-
-
 def _entries_in(raw, what: str):
     if not isinstance(raw, list):
         raise ParseError(f"{what} must be a list")
@@ -215,7 +211,7 @@ def triple_payload(triple: PositiveTriple) -> dict:
     return {
         "alpha": _scrub(triple.alpha),
         "k": model_payload(triple.k_entries),
-        "f": _entries_payload(triple.f_entries),
+        "f": _spectrum_payload(POSITIVE, triple.f_entries, ())["points"],
         "identity_multiplicity": _mult_out(triple.identity_multiplicity),
     }
 
@@ -233,9 +229,8 @@ def parse_triple(obj) -> PositiveTriple:
 def amform_payload(form: AMForm) -> dict:
     return {
         "beta": _scrub(form.beta),
-        "k1": {"kind": POSITIVE, "points": _entries_payload(form.k1_entries),
-               "clusters": _clusters_payload(form.k1_clusters, POSITIVE)},
-        "f1": _entries_payload(form.f1_entries),
+        "k1": _spectrum_payload(POSITIVE, form.k1_entries, form.k1_clusters),
+        "f1": _spectrum_payload(POSITIVE, form.f1_entries, ())["points"],
         "identity_multiplicity": _mult_out(form.identity_multiplicity),
     }
 
@@ -247,7 +242,7 @@ def structure_payload(sd: StructuredDecomposition) -> dict:
                     "part": b.part,
                     "value": _scrub(b.value),
                     "mult": _mult_out(b.mult)} for b in sd.blocks],
-        "clusters": _clusters_payload(sd.cluster_blocks, None),
+        "clusters": _spectrum_payload(None, (), sd.cluster_blocks)["clusters"],
         "kernel_multiplicity": _mult_out(sd.kernel_multiplicity),
     }
 
@@ -278,10 +273,11 @@ def parse_structure(obj) -> StructuredDecomposition:
 
 
 def matrix_payload(m) -> list:
-    """Rows of ``[re, im]`` pairs of a square matrix, scrubbed as
-    :func:`_scrub` scrubs one number: every part is a float, ``-0.0`` comes
-    out as ``0.0``, and a NaN or infinite part raises :class:`ParseError`
-    naming the first one in row-major order (real part first)."""
+    """An array of any shape, each entry an ``[re, im]`` pair (a vector as a
+    list of pairs, a matrix as rows of them), scrubbed as :func:`_scrub`
+    scrubs one number: every part is a float, ``-0.0`` comes out as ``0.0``,
+    and a NaN or infinite part raises :class:`ParseError` naming the first
+    one in row-major order (real part first)."""
     import numpy as np
     a = np.ascontiguousarray(m, dtype=np.complex128)
     parts = a.view(np.float64).reshape(a.shape + (2,)) + 0.0
@@ -313,10 +309,11 @@ def parse_matrix(obj):
 
 
 def encoded(report) -> dict:
-    """JSON payload of a report dataclass: one key per field, floats
-    scrubbed, tuples as lists, nested reports encoded the same way and
-    matrices as :func:`matrix_payload` rows."""
-    return {name: _encoded_value(value) for name, value in vars(report).items()}
+    """JSON payload of a report dataclass or a dict: one key per field or
+    entry, floats scrubbed, tuples and lists as lists, nested reports and
+    dicts encoded the same way and arrays as :func:`matrix_payload` pairs."""
+    items = report if isinstance(report, dict) else vars(report)
+    return {name: _encoded_value(value) for name, value in items.items()}
 
 
 def _encoded_value(value):
@@ -324,7 +321,7 @@ def _encoded_value(value):
         return _scrub(value)
     if isinstance(value, (str, int)):  # bools are ints
         return value
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_encoded_value(v) for v in value]
     if hasattr(value, "ndim"):
         return matrix_payload(value)
@@ -336,22 +333,12 @@ oracle_payload = verification_payload = witness_payload = perturbation_payload =
 
 
 def verdict_payload(verdict: ANVerdict, moduli: ModuliReport) -> dict:
-    return {
-        "is_an": verdict.is_an,
-        "violations": list(verdict.violations),
-        "moduli": encoded(moduli),
-    }
+    return encoded({"is_an": verdict.is_an, "violations": verdict.violations,
+                    "moduli": moduli})
 
 
 def fredholm_payload(report: FredholmReport) -> dict:
-    return {
-        "kernel_dimension": _mult_out(report.kernel_dimension),
-        "range_closed": report.range_closed,
-        "is_fredholm": report.is_fredholm,
-        "is_left_semi_fredholm": report.is_left_semi_fredholm,
-        "essential_min_modulus": _scrub(report.essential_min_modulus),
-        "is_injective": report.is_injective,
-    }
+    return encoded({**vars(report), "kernel_dimension": _mult_out(report.kernel_dimension)})
 
 
 # ---------------------------------------------------------------------------

@@ -371,27 +371,46 @@ def test_non_finite_matrix_entry_is_a_parse_error(entry, monkeypatch):
 
 
 #: documents refused with one MALFORMED line: a huge model value meets the
-#: check of non-finite values, and T*T of a huge matrix is beyond the
-#: eigensolver's range
+#: check of non-finite values, and T*T of a huge matrix (or the gram
+#: splitter's F*F) is beyond the eigensolver's range.  The third field starts
+#: the message of a Gram product refusal, which names the finite norm of the
+#: realized T or F, never that of the product.
+BIG_K = '{"kind":"positive","points":[{"value":2.0,"mult":"inf"},{"value":%s,"mult":2}]}'
 MALFORMED_NUMBERS = {
-    "value": ("classify", '{"kind":"positive","points":[{"value":%s,"mult":1}]}' % HUGE),
+    "value": ("classify", '{"kind":"positive","points":[{"value":%s,"mult":1}]}' % HUGE,
+              None),
     "normal-value": ("classify",
-                     '{"kind":"normal","points":[{"value":[1.0,-%s],"mult":1}]}' % HUGE),
-    "polar-1e160": ("polar", '{"matrix":[[1e160,0],[0,1]]}'),
-    "polar-1e100": ("polar", '{"matrix":[[1e100,0],[0,1]]}'),
+                     '{"kind":"normal","points":[{"value":[1.0,-%s],"mult":1}]}' % HUGE,
+                     None),
+    "polar-1e160": ("polar", '{"matrix":[[1e160,0],[0,1]]}', None),
+    "polar-1e100": ("polar", '{"matrix":[[1e100,0],[0,1]]}', None),
+    "verify-1e100": ("verify --dim 8", BIG_K % "1e100", "T norm 1.414213562373095e+100 "),
+    "verify-1e300": ("verify --dim 8", BIG_K % "1e300", "T norm 1.4142135623730952e+300 "),
+    "realize-verify-1e100": ("realize --verify --dim 8", BIG_K % "1e100",
+                             "T norm 1.414213562373095e+100 "),
+    "realize-verify-1e300": ("realize --verify --dim 8", BIG_K % "1e300",
+                             "T norm 1.4142135623730952e+300 "),
+    "blocks-gram": ("blocks --dim 8 --splitter gram",
+                    '{"kind":"positive","points":[{"value":1e300,"mult":"inf"},'
+                    '{"value":5e299,"mult":1}]}', "F norm 5e+299 "),
 }
 
 
-@pytest.mark.parametrize("command,doc", MALFORMED_NUMBERS.values(), ids=MALFORMED_NUMBERS)
-def test_out_of_range_number_is_one_malformed_diagnostic(command, doc, monkeypatch):
+@pytest.mark.parametrize("command,doc,named", MALFORMED_NUMBERS.values(),
+                         ids=MALFORMED_NUMBERS)
+def test_out_of_range_number_is_one_malformed_diagnostic(command, doc, named, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli([command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
+        code, out, err = run_cli([*command.split(), "-"], stdin_text=doc,
+                                 monkeypatch=monkeypatch)
     assert code == 2 and err == ""
     [line] = out.splitlines()
     env = json.loads(line)
     assert env["result"] is None
-    assert env["diagnostics"][0]["code"] == "MALFORMED"
+    [diag] = env["diagnostics"]
+    assert diag["code"] == "MALFORMED"
+    if named is not None:
+        assert diag["message"].startswith(named) and "inf" not in diag["message"]
 
 
 def test_integer_too_long_to_convert_is_one_diagnostic(monkeypatch):

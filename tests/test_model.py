@@ -367,6 +367,9 @@ def test_models_are_built_normal_and_order_free(raw, data):
     kind, points, clusters = raw
     m = SpectrumModel(kind, tuple(points), tuple(clusters))
     assert SpectrumModel(m.kind, m.points, m.clusters) == m
+    # the normal form's one order: by limit, then "above" before "below"
+    keys = [((cl.limit.real, cl.limit.imag), cl.side) for cl in m.clusters]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     shuffled = SpectrumModel(kind, tuple(data.draw(st.permutations(points))),
                              tuple(data.draw(st.permutations(clusters))))
     assert shuffled == m

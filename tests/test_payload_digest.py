@@ -4,7 +4,8 @@ The digests were taken from the code before the triple and every structure
 came to share one split at alpha; any change that moves one byte of these
 outputs fails here.  The documents are ``mixed_model`` seeds 0-299, each as
 written and as a twin rescaled by 1e-9, where values within ``MERGE_TOL`` of
-zero and of alpha are common.
+zero and of alpha are common.  ``MATRIX_RESULTS_SHA256`` was taken from the
+code before the matrix commands' results went through ``serialize.encoded``.
 """
 
 import hashlib
@@ -41,6 +42,7 @@ from anop.sequences import DecaySequence
 
 SPECTRAL_SHA256 = "344297a021516eb4703e831cf7ad2f69f2060eb69a11724c6bc1ca9e7156d667"
 REALIZE_SHA256 = "7b3d946ad4368d3fd603fd01cc01b595ce6418581f4aad7233ae3e70daf739d4"
+MATRIX_RESULTS_SHA256 = "2cb40106d4871d8283ce9fab714e326ba3517ef2b5af3d20eb8408a1483c44ce"
 
 
 def _rescaled(doc: dict, factor: float) -> dict:
@@ -112,6 +114,30 @@ def test_realize_payloads_are_pinned(tmp_path):
                 code = execute(["realize", str(doc), "--dim", str(dim)], out, io.StringIO())
                 digest.update(f"{code} ".encode() + out.getvalue().encode())
     assert digest.hexdigest() == REALIZE_SHA256
+
+
+MATRIX_COMMANDS = (
+    ["verify", "--dim", "8"],
+    ["realize", "--dim", "16", "--verify"],
+    ["invert-matrix", "--dim", "8"],
+    ["blocks", "--dim", "8", "--splitter", "gram"],
+)
+
+
+def test_matrix_results_are_pinned(tmp_path):
+    """Exit code and bytes of every matrix command that builds its result
+    from a realization.  At seed 0 each matrix is diagonal, so every product
+    and eigensolve is exact and the bytes do not depend on the BLAS build."""
+    digest = hashlib.sha256()
+    for k in range(4):
+        for family in FAMILIES:
+            doc = tmp_path / f"{family}-{k}.json"
+            doc.write_text(sz.emit(sz.model_payload(generate_model(k, family))))
+            for argv in MATRIX_COMMANDS:
+                out = io.StringIO()
+                code = execute([*argv, str(doc)], out, io.StringIO())
+                digest.update(f"{code} ".encode() + out.getvalue().encode())
+    assert digest.hexdigest() == MATRIX_RESULTS_SHA256
 
 
 def _positive(*pairs, limit=None):
