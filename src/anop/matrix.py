@@ -10,7 +10,10 @@ The Jacobi kernel is the only eigensolver this package trusts for its own
 results, for the high relative accuracy of Jacobi methods (Demmel and
 Veselic, 1992); numpy's LAPACK routines appear solely in test oracles.  The
 kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
-(1985) round-robin order, whose rounds of disjoint rotations vectorize.
+(1985) round-robin order, whose rounds of disjoint rotations vectorize.  The
+matrix and its eigenvector basis are one column-major ``(2n, n)`` stack, so
+a round is one column gather that rotates both and one row gather on the
+matrix; the order is built only when a first sweep runs.
 
 Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
 once, cold, and passes its eigenvectors ``Q`` as the ``basis`` of every
@@ -57,42 +60,52 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def _parallel_order(n):
-    """Brent-Luk round-robin ordering: with ``n`` rounded up to even ``m``,
-    ``m - 1`` rounds of disjoint pairs meet every pair once.  The index
-    ``n`` of odd ``n`` is a phantom whose pairs are dropped."""
+    """Brent-Luk round-robin ordering, one round per row: with ``n`` rounded
+    up to even ``m``, round ``r`` seats ``0`` then ``1 + (j - r) mod (m - 1)``
+    and pairs the first half with the reversed second half, so ``m - 1``
+    rounds of disjoint pairs meet every pair once.  A row is the round's
+    ``concat(p, q)``; the index ``n`` of odd ``n`` is a phantom whose pair is
+    dropped."""
     m = n + n % 2
-    rounds = []
-    for r in range(m - 1):
-        order = np.concatenate(([0], np.roll(np.arange(1, m), r)))
-        p, q = order[:m // 2], order[:m // 2 - 1:-1]
-        keep = (p < n) & (q < n)
-        rounds.append((p[keep], q[keep]))
-    return rounds
+    j = np.arange(m - 1)
+    order = np.insert(1 + (j - j[:, None]) % (m - 1), 0, 0, axis=1)
+    p, q = order[:, :m // 2], order[:, :m // 2 - 1:-1]
+    keep = (p < n) & (q < n)
+    return np.concatenate((p[keep].reshape(m - 1, -1), q[keep].reshape(m - 1, -1)), axis=1)
 
 
-def _jacobi_sweeps(a, v):
-    """Parallel-order complex Jacobi on Hermitian ``a``; ``v`` accumulates
-    the eigenvector basis.  Returns the sweep count, or -1 when
+def _jacobi_sweeps(av):
+    """Parallel-order complex Jacobi on the column-major ``(2n, n)`` stack
+    ``av`` of a Hermitian matrix ``a`` over its basis ``v``, which
+    accumulates the eigenvectors.  Returns the sweep count, or -1 when
     ``MAX_SWEEPS`` sweeps do not converge.
 
     A round's rotations touch disjoint pairs, so they commute and are
-    applied at once: one column gather/scatter on ``a`` and ``v``, then one
-    row gather/scatter on ``a``.  The off-diagonal mass is summed directly:
-    deriving it from ``norm(a)**2 - norm(diag)**2`` cancels catastrophically
-    near convergence and stalls the test on rounding noise.
+    applied at once: one column gather of the round's ``concat(p, q)`` and
+    two scatters rotate ``a`` and ``v`` together, then one row gather and
+    two scatters on the view ``a``.  The order is built only once the first
+    convergence test fails, so a solve that starts converged never builds
+    it.  The off-diagonal mass is summed directly: deriving it from
+    ``norm(a)**2 - norm(diag)**2`` cancels catastrophically near
+    convergence and stalls the test on rounding noise.
     """
-    n = a.shape[0]
+    n = av.shape[1]
+    a = av[:n]
     norm_f = _fro(a)
     if norm_f == 0.0:
         return 0
     thresh = EIGEN_TOL * norm_f
     pivot_tol = thresh / (2.0 * n)
     off_diagonal = ~np.eye(n, dtype=bool)
-    rounds = _parallel_order(n)
+    rounds = None
     for sweep in range(MAX_SWEEPS):
         if _fro(a[off_diagonal]) <= thresh:
             return sweep
-        for p, q in rounds:
+        if rounds is None:
+            rounds = _parallel_order(n)
+        for pq in rounds:
+            h = pq.size // 2
+            p, q = pq[:h], pq[h:]
             apq = a[p, q]
             r = np.abs(apq)
             big = r > pivot_tol
@@ -100,19 +113,19 @@ def _jacobi_sweeps(a, v):
                 p, q, apq, r = p[big], q[big], apq[big], r[big]
                 if p.size == 0:
                     continue
+                h, pq = p.size, np.concatenate((p, q))
             tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
             t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             sp = t * c * (apq / r)
             spc = sp.conj()
-            for m in (a, v):
-                mp, mq = m[:, p], m[:, q]
-                m[:, p] = c * mp + spc * mq
-                m[:, q] = c * mq - sp * mp
+            m = av[:, pq]
+            av[:, p] = c * m[:, :h] + spc * m[:, h:]
+            av[:, q] = c * m[:, h:] - sp * m[:, :h]
             c, sp, spc = c[:, None], sp[:, None], spc[:, None]
-            ap, aq = a[p], a[q]
-            a[p] = c * ap + sp * aq
-            a[q] = c * aq - spc * ap
+            m = a[pq]
+            a[p] = c * m[:h] + sp * m[h:]
+            a[q] = c * m[h:] - spc * m[:h]
             a[p, q] = 0.0
             a[q, p] = 0.0
     return -1
@@ -285,16 +298,15 @@ def hermitian_eigen(a, basis=None) -> EigenDecomposition:
     if basis is not None:
         _, basis = _operands(a=work, basis=basis)
         work = _hermitian_input(basis.conj().T @ work @ basis)
-    work = np.ascontiguousarray(work)
     n = work.shape[0]
-    vectors = np.eye(n, dtype=np.complex128)
-    sweeps = _jacobi_sweeps(work, vectors)
+    av = np.asfortranarray(np.concatenate((work, np.eye(n))))
+    sweeps = _jacobi_sweeps(av)
     if sweeps < 0:
         raise NoConvergenceError(
             f"Jacobi did not converge within {MAX_SWEEPS} sweeps at dimension {n}")
-    values = np.real(np.diag(work)).copy()
+    values = np.real(np.diag(av[:n])).copy()
     order = np.argsort(values, kind="stable")
-    vectors = vectors[:, order] if basis is None else basis @ vectors[:, order]
+    vectors = av[n:, order] if basis is None else basis @ av[n:, order]
     return EigenDecomposition(values[order], vectors, sweeps)
 
 
@@ -563,16 +575,17 @@ def converse_witness(k, f, v, alpha: float, t=None, tol: float = CHECK_TOL,
     Both script parts are positive semidefinite exactly when the
     decomposition is canonical, which is what ``an_predicted`` reports.
     Both are eigensolved started in ``basis`` (see :func:`hermitian_eigen`).
+    A ``T*T`` beyond the solver's range raises MalformedModelError naming T's norm.
     """
     km, fm, vm = _operands(k=k, f=f, v=v)
     alpha = _checked_alpha(alpha)
     tm = km - fm + alpha * vm if t is None else _operands(k=km, t=t)[1]
+    gram = _gram(tm, "T")
     kh = km.conj().T
     fh = fm.conj().T
     vh = vm.conj().T
     script_k = kh @ km + alpha * (vh @ km + kh @ vm)
     script_f = kh @ fm + fh @ km + alpha * (vh @ fm + fh @ vm) - fh @ fm
-    gram = tm.conj().T @ tm
     vv = vh @ vm
     scale = max(_fro(gram), 1.0)
     identity_residual = _fro(gram - (script_k - script_f + alpha * alpha * vv)) / scale

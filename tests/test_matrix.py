@@ -181,6 +181,123 @@ def test_eigen_reconstructs_input(n, seed):
     assert np.linalg.norm(back - a) <= 1e-11 * max(np.linalg.norm(a), 1.0)
 
 
+def reference_order(n):
+    """The round-robin order as separate ``(p, q)`` rounds, one ``np.roll``
+    each: the kernel's order before the stacked layout."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(np.arange(1, m), r)))
+        p, q = order[:m // 2], order[:m // 2 - 1:-1]
+        keep = (p < n) & (q < n)
+        rounds.append((p[keep], q[keep]))
+    return rounds
+
+
+def reference_sweeps(a, v):
+    """The Jacobi kernel on separate C-ordered ``a`` and ``v``, its four
+    column and two row gathers per round written out."""
+    n = a.shape[0]
+    norm_f = anop.matrix._fro(a)
+    if norm_f == 0.0:
+        return 0
+    thresh = anop.matrix.EIGEN_TOL * norm_f
+    pivot_tol = thresh / (2.0 * n)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    rounds = reference_order(n)
+    for sweep in range(anop.matrix.MAX_SWEEPS):
+        if anop.matrix._fro(a[off_diagonal]) <= thresh:
+            return sweep
+        for p, q in rounds:
+            apq = a[p, q]
+            r = np.abs(apq)
+            big = r > pivot_tol
+            if not big.all():
+                p, q, apq, r = p[big], q[big], apq[big], r[big]
+                if p.size == 0:
+                    continue
+            tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sp = t * c * (apq / r)
+            spc = sp.conj()
+            for m in (a, v):
+                mp, mq = m[:, p], m[:, q]
+                m[:, p] = c * mp + spc * mq
+                m[:, q] = c * mq - sp * mp
+            c, sp, spc = c[:, None], sp[:, None], spc[:, None]
+            ap, aq = a[p], a[q]
+            a[p] = c * ap + sp * aq
+            a[q] = c * aq - spc * ap
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+    return -1
+
+
+def reference_eigen(a, basis=None):
+    """``hermitian_eigen`` on the reference kernel: values, vectors, sweeps."""
+    work = anop.matrix._hermitian_input(a)
+    if basis is not None:
+        work = anop.matrix._hermitian_input(basis.conj().T @ work @ basis)
+    work = np.ascontiguousarray(work)
+    vectors = np.eye(work.shape[0], dtype=np.complex128)
+    sweeps = reference_sweeps(work, vectors)
+    values = np.real(np.diag(work)).copy()
+    order = np.argsort(values, kind="stable")
+    vectors = vectors[:, order] if basis is None else basis @ vectors[:, order]
+    return values[order], vectors, sweeps
+
+
+def kernel_input(kind, n):
+    """Seeded Hermitian inputs of the kinds verification feeds the solver."""
+    if kind == "random":
+        return random_hermitian(n, seed=n)
+    if kind == "degenerate":
+        u = seeded_unitary(n, n + 2)
+        spectrum = np.resize([1.0, 1.0, 1.0, 3.0, 3.0, -2.0, -2.0, 0.0, 0.0], n)
+        return (u * spectrum) @ u.conj().T
+    if kind == "graded":
+        d = np.logspace(0, -8, n)
+        return d[:, None] * random_hermitian(n, seed=n) * d
+    return np.zeros((n, n), dtype=complex)
+
+
+@pytest.mark.parametrize("kind", ["random", "degenerate", "graded", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 15, 16, 31, 33, 64])
+def test_eigen_matches_the_reference_kernel_bit_for_bit(n, kind):
+    a = kernel_input(kind, n)
+    for basis in (None, seeded_unitary(n, 7)):
+        eig = hermitian_eigen(a, basis)
+        values, vectors, sweeps = reference_eigen(a, basis)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, vectors)
+        assert eig.sweeps == sweeps
+        # the same memory layout, so products downstream take the same BLAS path
+        assert eig.vectors.strides == vectors.strides
+
+
+def test_parallel_order_meets_every_pair_once_in_disjoint_rounds():
+    for n in range(1, 66):
+        met = []
+        for pq in anop.matrix._parallel_order(n):
+            assert len(set(pq.tolist())) == pq.size
+            p, q = np.split(pq, 2)
+            met += [tuple(sorted(pair)) for pair in zip(p.tolist(), q.tolist())]
+        assert sorted(met) == [(i, j) for i in range(n) for j in range(i + 1, n)], n
+
+
+def test_solve_that_starts_converged_builds_no_order(monkeypatch):
+    a = random_hermitian(8, seed=4)
+    own = hermitian_eigen(a).vectors
+
+    def refuse(n):
+        raise AssertionError("the round-robin order was built")
+
+    monkeypatch.setattr(anop.matrix, "_parallel_order", refuse)
+    assert hermitian_eigen(np.diag([3.0, -1.0, 2.0, 0.5])).sweeps == 0
+    assert hermitian_eigen(a, basis=own).sweeps == 0
+
+
 # ---------------------------------------------------------------------------
 # polar
 
@@ -705,6 +822,14 @@ def test_witness_rejects_negative_compact_part():
     wit = converse_witness(k, f, v, 1.0)
     assert not wit.an_predicted
     assert wit.script_k_min_eig < -0.5
+
+
+def test_witness_refuses_a_gram_beyond_the_solver_range_naming_t():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedModelError) as exc:
+            converse_witness(np.diag([1e300, 0.0, 0.0]), np.zeros((3, 3)), np.eye(3), 2.0)
+    assert exc.value.message.startswith("T norm 1e+300 is too large")
 
 
 def test_witness_identity_residual_detects_wrong_t():
