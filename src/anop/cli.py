@@ -9,10 +9,12 @@ JSON report line::
 Reports from one command can be piped into the next; the loader unwraps the
 envelope automatically.  Exit codes: 0 success, 1 unreadable or structurally
 invalid input, 2 domain failure (diagnostics carry the code), 64 usage.
-The ANOP_TOL environment variable overrides the default tolerance of these
-commands (library calls are unaffected); a --tol flag beats the environment.
+The matrix commands (realize, verify, blocks, invert-matrix, polar) take
+--tol, and the ANOP_TOL environment variable overrides their default
+tolerance (library calls are unaffected); a --tol flag beats the environment.
 A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
-(64), a bad ANOP_TOL a PARSE failure (1).
+(64), a bad ANOP_TOL a PARSE failure (1).  Spectral verdicts, oracle and fuzz
+included, are decided at ``MERGE_TOL``, which neither reaches.
 
 Each command is declared once, as its row of ``_COMMANDS`` (name, help, body
 and arguments); the parser is built from that table.  The bodies of the
@@ -44,7 +46,7 @@ from .decompose import (
     structure_normal,
 )
 from .errors import AnopError, ParseError
-from .model import KINDS, MERGE_TOL, classify, moduli_report
+from .model import KINDS, classify, moduli_report
 
 
 class _UsageError(Exception):
@@ -70,8 +72,8 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-#: the one tolerance check, for --tol and ANOP_TOL alike: the range that
-#: :class:`~anop.oracle.TruncationProfile` enforces (NaN and inf fail it)
+#: the one tolerance check, for --tol and ANOP_TOL alike: the open unit
+#: interval (NaN and inf fail it)
 _tolerance = _checked(float, lambda t: 0.0 < t < 1.0,
                       "tolerance must be a number in (0, 1)")
 _depth = _checked(int, lambda d: d >= 2, "depth must be an integer of at least 2")
@@ -79,9 +81,8 @@ _count = _checked(int, lambda c: c >= 0, "count must be a non-negative integer")
 
 
 def _tol(args, default: float) -> float:
-    flag = getattr(args, "tol", None)
-    if flag is not None:
-        return flag
+    if args.tol is not None:
+        return args.tol
     env = os.environ.get("ANOP_TOL")
     if env:
         try:
@@ -95,7 +96,8 @@ def _load(args):
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        # decoded as stdin is, so bytes that are not UTF-8 fail as PARSE
+        with open(args.input, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     data = sz.load(text)
     if isinstance(data, dict) and "schema_version" in data and "result" in data:
@@ -199,13 +201,13 @@ def _cmd_polar(args):
 
 def _cmd_oracle(args):
     from .oracle import TruncationProfile, attainment_oracle
-    profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
+    profile = TruncationProfile(depth=args.depth)
     return sz.encoded(attainment_oracle(sz.parse_model(_load(args)), profile))
 
 
 def _cmd_fuzz(args):
     from .oracle import TruncationProfile, attainment_oracle, seeded_models
-    profile = TruncationProfile(depth=args.depth, tol=_tol(args, MERGE_TOL))
+    profile = TruncationProfile(depth=args.depth)
     disagreements = []
     for seed, tag, model in seeded_models(args.family, args.count, args.seed):
         verdict = classify(model)
@@ -279,15 +281,13 @@ _COMMANDS = (
      _INPUT + (_tol_arg("rank cutoff tolerance"),)),
     ("oracle", "independent attainment probe of a spectrum model", _cmd_oracle,
      _INPUT + (_arg("--depth", type=_depth, default=12,
-                    help="cluster materialization depth for probing"),
-               _tol_arg("comparison tolerance"))),
+                    help="cluster materialization depth for probing"),)),
     ("fuzz", "cross-check classifier and oracle on seeded models", _cmd_fuzz, (
         _arg("--count", type=_count, default=100, help="models to generate"),
         _arg("--family", default="all", choices=("all", "violators") + KINDS,
              help="generator family"),
         _arg("--seed", type=int, default=0, help="base seed"),
-        _arg("--depth", type=_depth, default=12, help="oracle depth"),
-        _tol_arg("comparison tolerance"))),
+        _arg("--depth", type=_depth, default=12, help="oracle depth"))),
 )
 
 

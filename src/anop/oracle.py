@@ -48,17 +48,14 @@ from .sequences import MERGE_TOL, DecaySequence, close_groups
 
 @dataclass(frozen=True)
 class TruncationProfile:
-    """How hard the oracle probes: materialization depth per cluster and the
-    comparison tolerance."""
+    """How hard the oracle probes: materialization depth per cluster.  The
+    oracle compares at ``MERGE_TOL``, the tolerance ``classify`` decides at."""
 
     depth: int = 12
-    tol: float = MERGE_TOL
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be at least 2, got {self.depth}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"tolerance {self.tol} out of range")
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class OracleReport:
 _SUBSET_CAP = 14
 
 
-def _subset_scan(attained, unattained, tol: float):
+def _subset_scan(attained, unattained):
     """Check sup = max on eigenbasis subsets.
 
     Ground items are attained values (eigenvector directions, supremum
@@ -94,10 +91,12 @@ def _subset_scan(attained, unattained, tol: float):
     ``LIMIT_FROM_BELOW`` rule, with no subset enumerated.  The count is that
     of the nonempty subsets of the markers plus the largest distinct
     attained values, up to ``_SUBSET_CAP`` items in all (markers always
-    count).
+    count).  Attained values are real: their groups are the runs of sorted
+    neighbours at most ``MERGE_TOL`` apart, counted in one pass.
     """
-    markers = [g[0] for g in close_groups(unattained, tol)]
-    points = len(close_groups(attained, tol))
+    markers = [g[0] for g in close_groups(unattained)]
+    ordered = sorted(attained)
+    points = len(ordered) - sum(b - a <= MERGE_TOL for a, b in zip(ordered, ordered[1:]))
     g = len(markers) + min(points, max(_SUBSET_CAP - len(markers), 0))
     return (1 << g) - 1, markers
 
@@ -108,7 +107,9 @@ def _mixing_refutes(a_base, a_mags, b_base, b_mags, depth: int, tol: float):
     Vectors v_n = cos(t_n) e_a^n + sin(t_n) e_b^n with weights chosen so the
     restricted norms climb strictly to b without reaching it; the subspace
     then has supremum b attained by no vector.  Returns the climb endpoint,
-    or None when no usable member window exists (inconclusive).
+    or None (inconclusive) when no usable member window exists or the
+    members cannot carry the climb.  A step that floating point cannot
+    resolve ends the climb, which refutes once it holds two strict steps.
     """
     def window(base, mags, usable):
         # the depth usable moduli nearest the value, nearest first, the last
@@ -128,7 +129,6 @@ def _mixing_refutes(a_base, a_mags, b_base, b_mags, depth: int, tol: float):
     gap0 = b2 - max(x * x for x in a_seq)
     if gap0 <= tol:
         return None
-    prev = -math.inf
     climb = []
     for i in range(depth):
         target = b2 - gap0 / (2.0 ** (i + 1))
@@ -138,13 +138,14 @@ def _mixing_refutes(a_base, a_mags, b_base, b_mags, depth: int, tol: float):
             return None
         w = (target - an2) / (bn2 - an2)
         if not 0.0 < w < 1.0:
-            return None
+            if b_seq[i] < b_base:
+                return None  # the target has passed this b-member
+            break  # rounding: the target has reached b
         norm = math.sqrt((1.0 - w) * an2 + w * bn2)
-        if norm <= prev or norm >= b_base:
-            return None
+        if norm >= b_base or climb and norm <= climb[-1]:
+            break  # rounding: the step is not resolved
         climb.append(norm)
-        prev = norm
-    return climb[-1]
+    return climb[-1] if len(climb) >= 2 else None
 
 
 def attainment_oracle(model: SpectrumModel,
@@ -157,18 +158,17 @@ def attainment_oracle(model: SpectrumModel,
     essential values.
     """
     prof = profile or TruncationProfile()
-    tol = prof.tol
     failures: list[OracleFailure] = []
 
     if model.kind == POSITIVE:
         for p in model.points:
-            if p.value.real < -tol:
+            if p.value.real < -MERGE_TOL:
                 failures.append(OracleFailure(
                     "declared_negative", (p.value.real,),
                     f"declared positive but carries eigenvalue {p.value.real}"))
         for cl in model.clusters:
             head = min(m.real for m in cl.members(prof.depth))
-            if head < -tol:
+            if head < -MERGE_TOL:
                 failures.append(OracleFailure(
                     "declared_negative", (head,),
                     f"declared positive but cluster member reaches {head}"))
@@ -190,25 +190,21 @@ def attainment_oracle(model: SpectrumModel,
             ) from None
         base = abs(cl.limit)
         attained.extend(mags[: prof.depth])
-        if mags[0] > base + tol:
-            direction = "upper"
-        elif mags[0] < base - tol:
+        if mags[0] < base - MERGE_TOL:
             direction = "lower"
-        else:
-            direction = "flat"
-        if direction == "lower":
             unattained.append(base)
         else:
+            direction = "upper" if mags[0] > base + MERGE_TOL else "flat"
             attained.append(max(mags[0], base))
         essential.append((base, direction, mags))
 
-    subsets, failing_markers = _subset_scan(attained, unattained, tol)
+    subsets, failing_markers = _subset_scan(attained, unattained)
     for value in failing_markers:
         failures.append(OracleFailure(
             "unattained_tail", (value,),
             f"tail subspace has supremum {value} reached by no member"))
 
-    groups = close_groups(essential, tol, key=lambda e: e[0])
+    groups = close_groups(essential, key=lambda e: e[0])
     pairs = 0
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
@@ -219,7 +215,7 @@ def attainment_oracle(model: SpectrumModel,
             b_item = b_items[0]
             pairs += 1
             climbed = _mixing_refutes(a_item[0], a_item[2], b_item[0], b_item[2],
-                                      prof.depth, tol)
+                                      prof.depth, MERGE_TOL)
             if climbed is not None:
                 failures.append(OracleFailure(
                     "unattained_mixture", (a_item[0], b_item[0], climbed),

@@ -80,6 +80,21 @@ def test_garbage_stdin_exits_one_with_parse_diagnostic(monkeypatch):
     assert env["diagnostics"][0]["code"] == "PARSE"
 
 
+def test_input_that_is_not_utf8_is_one_parse_line_from_file_or_stdin(tmp_path, monkeypatch):
+    raw = b"\xff{}"
+    path = tmp_path / "latin.json"
+    path.write_bytes(raw)
+    from_file = run_cli(["classify", str(path)])
+    # stdin hands over undecodable bytes as surrogate escapes
+    from_stdin = run_cli(["classify"], raw.decode("utf-8", "surrogateescape"),
+                         monkeypatch)
+    assert from_file == from_stdin
+    code, out, err = from_file
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out)["diagnostics"][0]["code"] == "PARSE"
+
+
 def test_missing_file_exits_one_with_io_diagnostic(tmp_path):
     code, out, _ = run_cli(["classify", str(tmp_path / "nope.json")])
     assert code == 1
@@ -159,23 +174,23 @@ def test_realize_verify_attaches_report(monkeypatch):
 
 def test_env_tolerance_must_be_numeric(monkeypatch):
     monkeypatch.setenv("ANOP_TOL", "loose")
-    code, out, _ = run_cli(["oracle", str(SPECS / "positive_tail.json")])
+    argv = ["verify", str(SPECS / "positive_tail.json"), "--dim", "8"]
+    code, out, _ = run_cli(argv)
     assert code == 1
     assert json.loads(out)["diagnostics"][0]["code"] == "PARSE"
     # an explicit flag wins over the broken environment
-    code, out, _ = run_cli(["oracle", str(SPECS / "positive_tail.json"),
-                            "--tol", "1e-9"])
+    code, out, _ = run_cli(argv + ["--tol", "1e-9"])
     assert code == 0
-    assert json.loads(out)["result"]["is_an"] is True
+    assert json.loads(out)["result"]["ok"] is True
 
 
 BAD_TOL_ARGV = [
-    ["oracle", "positive_tail.json", "--tol", "0"],
-    ["oracle", "positive_tail.json", "--tol", "1"],
-    ["oracle", "positive_tail.json", "--tol", "nan"],
-    ["oracle", "positive_tail.json", "--tol", "inf"],
+    ["polar", "--tol", "0"],
+    ["polar", "--tol", "1"],
+    ["polar", "--tol", "nan"],
+    ["polar", "--tol", "inf"],
     ["oracle", "positive_tail.json", "--depth", "1"],
-    ["fuzz", "--count", "1", "--tol", "0"],
+    ["verify", "--dim", "8", "--tol", "0"],
     ["fuzz", "--count", "1", "--depth", "1"],
     ["fuzz", "--count", "-1"],
     ["verify", "positive_tail.json", "--dim", "8", "--tol", "-1"],
@@ -194,13 +209,34 @@ def test_bad_tolerance_or_depth_flag_is_a_usage_error(argv):
 @pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "inf"])
 def test_env_tolerance_outside_unit_interval_is_a_parse_failure(monkeypatch, value):
     monkeypatch.setenv("ANOP_TOL", value)
-    for argv in (["verify", str(SPECS / "positive_tail.json"), "--dim", "8"],
-                 ["oracle", str(SPECS / "positive_tail.json")]):
-        code, out, _ = run_cli(argv)
+    for argv, stdin_text in (
+            (["verify", str(SPECS / "positive_tail.json"), "--dim", "8"], None),
+            (["polar"], "[[2, 0], [0, 1]]")):
+        code, out, _ = run_cli(argv, stdin_text, monkeypatch)
         assert code == 1, argv
         env = json.loads(out)
         assert env["result"] is None
         assert env["diagnostics"][0]["code"] == "PARSE"
+
+
+@pytest.mark.parametrize("argv", [["oracle", "positive_tail.json"], ["fuzz"]],
+                         ids=lambda argv: argv[0])
+def test_spectral_commands_take_no_tolerance_flag(argv):
+    # the oracle decides at the classifier's MERGE_TOL, which no flag reaches
+    argv = [str(SPECS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(argv + ["--tol", "0.1"])
+    assert code == 64
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("anop: ")
+
+
+def test_env_tolerance_leaves_oracle_and_fuzz_unchanged(monkeypatch):
+    runs = (["oracle", str(SPECS / "violator_from_below.json")],
+            ["fuzz", "--count", "240"])
+    plain = [run_cli(argv) for argv in runs]
+    monkeypatch.setenv("ANOP_TOL", "0.1")
+    assert [run_cli(argv) for argv in runs] == plain
+    assert [code for code, _, _ in plain] == [0, 0]
 
 
 def test_fuzz_reports_full_agreement():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from anop.model import (
     SpectrumModel,
     classify,
 )
+import anop.oracle as oracle
 from anop.oracle import (
     FAMILIES,
     FAMILY_CYCLE,
@@ -29,10 +31,11 @@ from anop.oracle import (
     rank_perturbation_check,
     seeded_models,
     _mixing_refutes,
+    _SUBSET_CAP,
 )
-from anop.sequences import DecaySequence
+from anop.sequences import MERGE_TOL, DecaySequence, close_groups
 
-from conftest import positive_points
+from conftest import SPECS, positive_points
 
 
 GEO = DecaySequence.geometric(0.125, 0.5)
@@ -103,7 +106,7 @@ def test_oracle_accepts_matched_cluster_and_infinite_value():
 
 
 def test_oracle_depth_controls_probing():
-    prof = TruncationProfile(depth=6, tol=1e-9)
+    prof = TruncationProfile(depth=6)
     m = positive_points((1.0, INF), (2.0, INF))
     assert not attainment_oracle(m, prof).is_an
 
@@ -123,16 +126,62 @@ def test_mixing_probe_is_inconclusive_without_a_member_window():
     # the weight leaves (0, 1): a member at 1.9 cannot carry the climb past it
     assert _mixing_refutes(1.0, None, 2.0, [1.9], 6, 0.2) is None
     assert 1.98 < _mixing_refutes(1.0, None, 2.0, None, 6, 0.2) < 2.0
-    # rounding stalls the climb on values 1e-8 apart, which depth 20 survives
-    assert _mixing_refutes(1.0, None, 1.0 + 1e-8, None, 80, 1e-9) is None
+    # rounding stalls the climb on values 1e-8 apart; the strict steps
+    # before the stall still refute
+    assert _mixing_refutes(1.0, None, 1.0 + 1e-8, None, 80, 1e-9) is not None
     assert _mixing_refutes(1.0, None, 1.0 + 1e-8, None, 20, 1e-9) is not None
+
+
+@pytest.mark.parametrize("depth", [12, 49, 60, 100, 1000])
+@pytest.mark.parametrize("name", ["violator_two_limits.json", "violator_two_inf.json",
+                                  "violator_limit_mismatch.json"])
+def test_mixing_violator_specs_are_refuted_at_every_depth(name, depth):
+    # past about 50 steps rounding stalls every climb; its strict steps refute
+    model = sz.parse_model(json.loads((SPECS / name).read_text()))
+    rep = attainment_oracle(model, TruncationProfile(depth=depth))
+    assert not rep.is_an
+    mix = [f.witness for f in rep.failures if f.kind == "unattained_mixture"]
+    assert mix
+    a, b, climbed = mix[0]
+    assert a < climbed < b
+
+
+def reference_subset_scan(attained, unattained, tol):
+    """The subset scan as it was before the sorted pass: the distinct
+    attained values are counted as the ``close_groups`` of every pair."""
+    markers = [g[0] for g in close_groups(unattained, tol)]
+    points = len(close_groups(attained, tol))
+    g = len(markers) + min(points, max(_SUBSET_CAP - len(markers), 0))
+    return (1 << g) - 1, markers
+
+
+def test_subset_scan_matches_the_pairwise_reference(monkeypatch):
+    scan = oracle._subset_scan
+    scans = []
+
+    def checked(attained, unattained):
+        got = scan(attained, unattained)
+        assert got == reference_subset_scan(attained, unattained, MERGE_TOL)
+        scans.append(got[0])
+        return got
+
+    monkeypatch.setattr(oracle, "_subset_scan", checked)
+    for depth in (2, 6, 12, 24):
+        prof = TruncationProfile(depth=depth)
+        for family in ("violators",) + tuple(FAMILIES):
+            for _, _, model in seeded_models(family, 300):
+                attainment_oracle(model, prof)
+    for depth in (12, 1000):
+        for path in sorted(SPECS.glob("*.json")):
+            attainment_oracle(sz.parse_model(json.loads(path.read_text())),
+                              TruncationProfile(depth=depth))
+    assert len(scans) == 4 * 4 * 300 + 2 * 13
+    assert len(set(scans)) > 1
 
 
 def test_truncation_profile_validation():
     with pytest.raises(ValueError):
         TruncationProfile(depth=1)
-    with pytest.raises(ValueError):
-        TruncationProfile(tol=2.0)
 
 
 # ---------------------------------------------------------------------------
