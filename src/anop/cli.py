@@ -93,12 +93,16 @@ def _tol(args, default: float) -> float:
 
 
 def _load(args):
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        # decoded as stdin is, so bytes that are not UTF-8 fail as PARSE
+    # UTF-8 with surrogate escapes from a file or stdin's bytes, whatever the
+    # interpreter's stdio error handler, so bytes that are not UTF-8 fail as
+    # PARSE; a text stream with no byte buffer (io.StringIO) is read as text
+    if args.input != "-":
         with open(args.input, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
+    elif hasattr(sys.stdin, "buffer"):
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+    else:
+        text = sys.stdin.read()
     data = sz.load(text)
     if isinstance(data, dict) and "schema_version" in data and "result" in data:
         data = data["result"]

@@ -266,11 +266,26 @@ def _modulus_cluster(cl: Cluster) -> Cluster:
     return Cluster(complex(abs(limit), 0.0), side, cl.deltas)
 
 
-def modulus_spectrum(model: SpectrumModel) -> SpectrumModel:
-    """Positive model of ``|T|``: values replaced by moduli and merged."""
+def _modulus_model(model: SpectrumModel) -> SpectrumModel:
     points = [EigenvalueEntry(complex(abs(p.value), 0.0), p.mult) for p in model.points]
     clusters = tuple(_modulus_cluster(cl) for cl in model.clusters)
     return SpectrumModel(POSITIVE, tuple(points), clusters)
+
+
+def modulus_spectrum(model: SpectrumModel) -> SpectrumModel:
+    """Positive model of ``|T|``: values replaced by moduli and merged.
+
+    Built once per model: the result is kept on the model as an attribute
+    outside its fields, so equality, hashing, ``repr`` and payloads do not
+    see it, and :func:`classify`, :func:`moduli_report`, the decompositions
+    and the oracle share one build.  A refused model is refused again on
+    every call.
+    """
+    mod = model.__dict__.get("_modulus")
+    if mod is None:
+        mod = _modulus_model(model)
+        object.__setattr__(model, "_modulus", mod)
+    return mod
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .model import (
     Cluster,
     EigenvalueEntry,
     SpectrumModel,
-    _modulus_cluster,
+    modulus_spectrum,
 )
 from .sequences import MERGE_TOL, DecaySequence, close_groups
 
@@ -91,12 +91,11 @@ def _subset_scan(attained, unattained):
     ``LIMIT_FROM_BELOW`` rule, with no subset enumerated.  The count is that
     of the nonempty subsets of the markers plus the largest distinct
     attained values, up to ``_SUBSET_CAP`` items in all (markers always
-    count).  Attained values are real: their groups are the runs of sorted
-    neighbours at most ``MERGE_TOL`` apart, counted in one pass.
+    count).  Distinct values are the groups of :func:`close_groups`, one
+    sorted pass over these real values.
     """
     markers = [g[0] for g in close_groups(unattained)]
-    ordered = sorted(attained)
-    points = len(ordered) - sum(b - a <= MERGE_TOL for a, b in zip(ordered, ordered[1:]))
+    points = len(close_groups(attained))
     g = len(markers) + min(points, max(_SUBSET_CAP - len(markers), 0))
     return (1 << g) - 1, markers
 
@@ -180,8 +179,8 @@ def attainment_oracle(model: SpectrumModel,
     for p in model.points:
         if p.is_infinite():
             essential.append((abs(p.value), "flat", None))
+    modulus_spectrum(model)  # refuses the models that classify refuses
     for cl in model.clusters:
-        _modulus_cluster(cl)  # refuses the clusters that classify refuses
         try:
             mags = [abs(m) for m in cl.members(deep)]
         except OverflowError:

@@ -41,12 +41,27 @@ def close_groups(items, tol: float = MERGE_TOL, key=None) -> list[list]:
     by a chain of steps each at most ``tol`` apart (single linkage).
 
     Groups, and the members of each group, come out in ``(real, imag)``
-    order of their values; ties keep input order.  After sorting by real
-    part, each scan stops once the real gap exceeds ``tol``, which finds the
-    same groups as comparing every pair.
+    order of their values; ties keep input order.  When every value is
+    real, the groups are the runs of sorted neighbours at most ``tol``
+    apart, found in one pass after the sort.  Otherwise, after sorting by
+    real part, each scan stops once the real gap exceeds ``tol``, which
+    finds the same groups as comparing every pair but is still quadratic
+    on a chain of complex values within ``tol`` in real part.
     """
-    keyed = sorted(((complex(key(it) if key else it), it) for it in items),
-                   key=lambda p: (p[0].real, p[0].imag))
+    keyed = [(complex(key(it) if key else it), it) for it in items]
+    if all(v.imag == 0.0 for v, _ in keyed):
+        keyed.sort(key=lambda p: p[0].real)
+        runs: list[list] = []
+        prev = 0.0
+        for v, it in keyed:
+            if runs and v.real - prev <= tol:
+                runs[-1].append(it)
+            else:
+                runs.append([it])
+            prev = v.real
+        return runs
+
+    keyed.sort(key=lambda p: (p[0].real, p[0].imag))
     parent = list(range(len(keyed)))
 
     def find(a):

@@ -26,7 +26,10 @@ PACKAGE_PARENT = Path(anop.__file__).resolve().parent.parent
 def run_cli(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        # a stdin with a byte buffer, as a process has; surrogate escapes
+        # stand for bytes that are not UTF-8
+        raw = stdin_text.encode("utf-8", "surrogateescape")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     code = execute(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -584,12 +587,14 @@ def test_invert_matrix_reads_model_or_triple(monkeypatch):
 
 def run_module(argv, stdin_text=None, extra_env=None, preexec_fn=None, module="anop"):
     """Run ``python -m anop`` (or another ``module``) as a child process on
-    the same ``anop`` package as this process, whether or not it is installed."""
+    the same ``anop`` package as this process, whether or not it is installed.
+    Bytes on stdin give bytes on stdout and stderr."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", module, *argv],
-                          input=stdin_text, capture_output=True, text=True,
+                          input=stdin_text, capture_output=True,
+                          text=not isinstance(stdin_text, bytes),
                           env=env, preexec_fn=preexec_fn)
 
 
@@ -604,6 +609,17 @@ def test_console_script_reads_stdin():
     proc = run_module(["structure", "-"], stdin_text=doc)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "structure_selfadjoint.json").read_text()
+
+
+def test_stdin_that_is_not_utf8_is_one_parse_line_under_strict_stdio():
+    # a strict stdio error handler must not turn undecodable stdin into a
+    # UnicodeDecodeError traceback
+    proc = run_module(["classify", "-"], stdin_text=b"\xff{}",
+                      extra_env={"PYTHONIOENCODING": "utf-8:strict"})
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    assert proc.stdout.count(b"\n") == 1
+    assert json.loads(proc.stdout)["diagnostics"][0]["code"] == "PARSE"
 
 
 def test_cli_module_runs_as_main():

@@ -1,6 +1,8 @@
 """One merge rule: values joined by a chain of steps, each at most
 ``MERGE_TOL``, are one spectral value wherever anop compares values."""
 
+import time
+
 from hypothesis import given, strategies as st
 
 from anop.decompose import PositiveTriple
@@ -111,3 +113,22 @@ def test_close_groups_keep_ties_in_input_order():
     assert close_groups(items, key=lambda it: it[0]) == [
         [(0.0, "b")], [(1.0, "a"), (1.0, "d"), (1.0 + 0.5e-9, "c")]]
     assert close_groups([]) == []
+
+
+def test_a_step_of_exactly_the_tolerance_joins():
+    assert close_groups([3 * MERGE_TOL, MERGE_TOL, 0.0]) == [[0.0, MERGE_TOL], [3 * MERGE_TOL]]
+    assert close_groups([1j * MERGE_TOL, 0j, 3j * MERGE_TOL]) == [
+        [0j, 1j * MERGE_TOL], [3j * MERGE_TOL]]
+
+
+def test_a_long_real_chain_is_grouped_in_one_sorted_pass():
+    # a chain spaced well within MERGE_TOL is one group; the pairwise scan
+    # took seconds on 2,000 such values
+    chain = [k * 1e-13 for k in range(100_000)]
+    start = time.perf_counter()
+    groups = close_groups(chain[::-1])
+    assert time.perf_counter() - start < 1.0
+    assert groups == [chain]
+    # spaced beyond MERGE_TOL, the same count of values are all apart
+    apart = [k * 2e-9 for k in range(100_000)]
+    assert close_groups(apart) == [[v] for v in apart]

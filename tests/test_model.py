@@ -3,6 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import anop.model
+import anop.serialize as sz
+from anop.decompose import decomposition
 from anop.errors import MalformedModelError
 from anop.model import (
     ABOVE,
@@ -27,6 +30,7 @@ from anop.model import (
     normalize_model,
     descending_prefix,
 )
+from anop.oracle import FAMILIES, attainment_oracle, generate_model
 from anop.sequences import DecaySequence
 
 from conftest import positive_points, same_model
@@ -389,6 +393,38 @@ def test_modulus_spectrum_is_positive_and_idempotent(m):
     assert mod.kind == POSITIVE
     assert all(p.value.real >= 0.0 and p.value.imag == 0.0 for p in mod.points)
     assert same_model(modulus_spectrum(mod), mod, tol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_modulus_spectrum_is_built_once_per_model(family, monkeypatch):
+    m = generate_model(3, family)
+    before = (hash(m), repr(m), sz.emit(sz.model_payload(m)))
+    builds = []
+    build = anop.model._modulus_model
+
+    def counted(model):
+        builds.append(model)
+        return build(model)
+
+    monkeypatch.setattr(anop.model, "_modulus_model", counted)
+    classify(m)
+    moduli_report(m)
+    decomposition(m)
+    attainment_oracle(m)
+    assert builds == [m]
+    assert modulus_spectrum(m) is modulus_spectrum(m)
+    # the kept spectrum is no field: the model is the same value as before
+    assert m == SpectrumModel(m.kind, m.points, m.clusters)
+    assert (hash(m), repr(m), sz.emit(sz.model_payload(m))) == before
+
+
+def test_a_refused_modulus_spectrum_is_refused_again():
+    # every offset of the cluster's modulus image is below float resolution
+    m = SpectrumModel(NORMAL, (), (
+        Cluster(3 + 4j, ABOVE, DecaySequence.harmonic(1e-17)),))
+    for _ in range(2):
+        with pytest.raises(MalformedModelError):
+            modulus_spectrum(m)
 
 
 @given(small_positive_models())
