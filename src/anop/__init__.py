@@ -43,9 +43,8 @@ _NAMES = {
         "seeded_unitary", "verify_structure",
     ),
     "oracle": (
-        "FAMILIES", "OracleFailure", "OracleReport", "PerturbationReport",
-        "TruncationProfile", "attainment_oracle", "generate_model", "generate_violator",
-        "mixed_model", "rank_perturbation_check",
+        "FAMILIES", "OracleFailure", "OracleReport", "TruncationProfile",
+        "attainment_oracle", "generate_model", "generate_violator", "mixed_model",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

@@ -78,6 +78,7 @@ _tolerance = _checked(float, lambda t: 0.0 < t < 1.0,
                       "tolerance must be a number in (0, 1)")
 _depth = _checked(int, lambda d: d >= 2, "depth must be an integer of at least 2")
 _count = _checked(int, lambda c: c >= 0, "count must be a non-negative integer")
+_shift = _checked(float, math.isfinite, "shift must be a finite number")
 
 
 def _tol(args, default: float) -> float:
@@ -268,7 +269,7 @@ _COMMANDS = (
     ("gram", "positive model of T*T",
      _chain(sz.parse_model, gram_spectrum, sz.model_payload), _INPUT),
     ("shift", "normal model of T + i*lambda*I", _cmd_shift, _INPUT + (
-        _arg("--shift", type=float, required=True, metavar="LAMBDA",
+        _arg("--shift", type=_shift, required=True, metavar="LAMBDA",
              help="imaginary shift coefficient"),)),
     ("fredholm", "Fredholm-type properties of a triple (or AN positive model)",
      _chain(_positive_triple, fredholm_report, sz.fredholm_payload), _INPUT),

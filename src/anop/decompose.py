@@ -200,15 +200,6 @@ class StructuredDecomposition:
             _as_mult(b.mult)
         _as_count(self.kernel_multiplicity, "kernel multiplicity")
 
-    def eigenvalues(self, depth: int):
-        """Recombined (value, mult) pairs, kernel included."""
-        out = [(b.eigenvalue(self.alpha), b.mult) for b in self.blocks]
-        for cl in self.cluster_blocks:
-            out.extend((m, 1) for m in cl.members(depth))
-        if self.kernel_multiplicity:
-            out.append((0j, self.kernel_multiplicity))
-        return out
-
 
 @dataclass(frozen=True)
 class AMForm:
@@ -221,18 +212,6 @@ class AMForm:
     k1_clusters: tuple[Cluster, ...]
     f1_entries: tuple[EigenvalueEntry, ...]
     identity_multiplicity: float
-
-    def eigenvalues(self, depth: int):
-        out = []
-        for p in self.k1_entries:
-            out.append((self.beta - p.value.real, p.mult))
-        for cl in self.k1_clusters:
-            out.extend((self.beta - d, 1) for d in cl.deltas.terms(depth))
-        for e in self.f1_entries:
-            out.append((self.beta + e.value.real, e.mult))
-        if self.identity_multiplicity:
-            out.append((self.beta, self.identity_multiplicity))
-        return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ witness ``T*T = scriptK - scriptF + alpha**2 * V*V``.
 
 The Jacobi kernel is the only eigensolver this package trusts for its own
 results, for the high relative accuracy of Jacobi methods (Demmel and
-Veselic, 1992); numpy's LAPACK routines appear solely in test oracles.  The
+Veselic, 1992); numpy's LAPACK routines appear only in ``tests/``.  The
 kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
 (1985) round-robin order, whose rounds of disjoint rotations vectorize.  The
 matrix and its eigenvector basis are one column-major ``(2n, n)`` stack, so

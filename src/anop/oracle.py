@@ -7,8 +7,7 @@ whose restricted norm is a strict supremum.  A model passes only if every
 probed subspace attains its norm.  The tail check is the classifier's
 ``LIMIT_FROM_BELOW`` rule (every cluster tail approached from below fails),
 so on that code the two agree by construction; the mixing probes are the
-independent part.  numpy's LAPACK may be used here as
-lab equipment; library results never depend on this module.
+independent part.  Library results never depend on this module.
 
 Known blind spot, by design: mixing witnesses draw their vectors from
 materialized cluster members, so a hand-written explicit cluster that stops
@@ -222,45 +221,6 @@ def attainment_oracle(model: SpectrumModel,
                     f"to {climbed} with supremum {b_item[0]} never attained"))
 
     return OracleReport(not failures, tuple(failures), subsets, pairs)
-
-
-# ---------------------------------------------------------------------------
-# finite-rank perturbation lab check
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Eigenvalue counting comparison for a finite-rank perturbation."""
-
-    within_bound: bool
-    max_count_gap: int
-    rank_detected: int
-    grid_lo: float
-    grid_hi: float
-
-
-def rank_perturbation_check(base, perturbed, rank_bound: int) -> PerturbationReport:
-    """Check the Weyl-type stability of eigenvalue counts.
-
-    For Hermitian A and B with rank(A - B) <= r, the counting functions
-    N_A(x) and N_B(x) can differ by at most r at every x.  The comparison
-    runs on a uniform grid over [min - 1, max + 1] of the joint spectrum.
-    """
-    import numpy as np
-    a = np.asarray(base, dtype=np.complex128)
-    b = np.asarray(perturbed, dtype=np.complex128)
-    va = np.linalg.eigvalsh(a)
-    vb = np.linalg.eigvalsh(b)
-    lo = float(min(va[0], vb[0])) - 1.0
-    hi = float(max(va[-1], vb[-1])) + 1.0
-    xs = np.linspace(lo, hi, 257)
-    na = np.searchsorted(va, xs, side="right")
-    nb = np.searchsorted(vb, xs, side="right")
-    gap = int(np.max(np.abs(na - nb)))
-    diff_eigs = np.linalg.eigvalsh(a - b)
-    scale = max(float(np.max(np.abs(diff_eigs))), 1.0)
-    rank = int(np.count_nonzero(np.abs(diff_eigs) > 1e-9 * scale))
-    return PerturbationReport(gap <= rank_bound, gap, rank, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures and comparison helpers."""
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,43 @@ def same_triple(a, b, tol=1e-12, depth=CMP_DEPTH):
         if any(abs(x - y) > tol * max(1.0, abs(x)) for x, y in zip(ta, tb)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# finite-rank perturbation lab check: numpy's LAPACK as lab equipment, which
+# the library itself never calls
+
+
+@dataclass(frozen=True)
+class PerturbationReport:
+    """Eigenvalue counting comparison for a finite-rank perturbation."""
+
+    within_bound: bool
+    max_count_gap: int
+    rank_detected: int
+    grid_lo: float
+    grid_hi: float
+
+
+def rank_perturbation_check(base, perturbed, rank_bound: int) -> PerturbationReport:
+    """Check the Weyl-type stability of eigenvalue counts.
+
+    For Hermitian A and B with rank(A - B) <= r, the counting functions
+    N_A(x) and N_B(x) can differ by at most r at every x.  The comparison
+    runs on a uniform grid over [min - 1, max + 1] of the joint spectrum.
+    """
+    import numpy as np
+    a = np.asarray(base, dtype=np.complex128)
+    b = np.asarray(perturbed, dtype=np.complex128)
+    va = np.linalg.eigvalsh(a)
+    vb = np.linalg.eigvalsh(b)
+    lo = float(min(va[0], vb[0])) - 1.0
+    hi = float(max(va[-1], vb[-1])) + 1.0
+    xs = np.linspace(lo, hi, 257)
+    na = np.searchsorted(va, xs, side="right")
+    nb = np.searchsorted(vb, xs, side="right")
+    gap = int(np.max(np.abs(na - nb)))
+    diff_eigs = np.linalg.eigvalsh(a - b)
+    scale = max(float(np.max(np.abs(diff_eigs))), 1.0)
+    rank = int(np.count_nonzero(np.abs(diff_eigs) > 1e-9 * scale))
+    return PerturbationReport(gap <= rank_bound, gap, rank, lo, hi)

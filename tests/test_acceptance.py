@@ -40,11 +40,10 @@ from anop.oracle import (
     attainment_oracle,
     generate_model,
     mixed_model,
-    rank_perturbation_check,
 )
 import anop.serialize as sz
 
-from conftest import GOLDEN, SPECS, same_model, same_triple
+from conftest import GOLDEN, SPECS, rank_perturbation_check, same_model, same_triple
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -135,7 +134,12 @@ def test_05_inverse_reciprocity():
         original = [p.value.real for p in model.points]
         for cl in model.clusters:
             original.extend(m.real for m in cl.members(10))
-        inverse = [v for v, _ in form.eigenvalues(10)]
+        # the recombined spectrum: beta - k1 (entries and cluster terms),
+        # beta + f1, and beta on the identity
+        inverse = ([form.beta - e.value.real for e in form.k1_entries]
+                   + [form.beta - d for cl in form.k1_clusters for d in cl.deltas.terms(10)]
+                   + [form.beta + e.value.real for e in form.f1_entries]
+                   + [form.beta] * bool(form.identity_multiplicity))
         ok = True
         for w in inverse:
             if min(abs(1.0 / w - lam) / max(1.0, abs(lam)) for lam in original) > 1e-12:

@@ -292,6 +292,19 @@ def test_shift_reports_a_malformed_normal_model_as_malformed(monkeypatch):
     assert env["result"] is None
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("doc", [None, '{"kind":"selfadjoint","points":[]}'],
+                         ids=["selfadjoint_signed", "empty"])
+def test_non_finite_shift_is_a_usage_error(doc, value, monkeypatch):
+    # the flag is refused before any document is read, whatever it holds
+    argv = ["shift", str(SPECS / "selfadjoint_signed.json") if doc is None else "-",
+            f"--shift={value}"]
+    code, out, err = run_cli(argv, stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 64
+    assert out == ""
+    assert err == f"anop: argument --shift: shift must be a finite number, got {value!r}\n"
+
+
 @pytest.mark.parametrize("block_mult,kernel", [(-2, 0), (1, -3)],
                          ids=["negative_block_mult", "negative_kernel"])
 def test_structure_with_negative_multiplicity_is_malformed(block_mult, kernel, monkeypatch):

@@ -237,9 +237,9 @@ def test_invert_keeps_k1_entries_paired_with_their_sources():
     form = invert_triple(t)
     assert [e.mult for e in form.k1_entries] == [1, 2]
     assert abs(form.k1_entries[1].value - form.k1_entries[0].value) < 1e-9
-    for (w, mult), src in zip(form.eigenvalues(0), t.k_entries.points):
-        assert mult == src.mult
-        assert abs(w - 1.0 / (t.alpha + src.value.real)) < 1e-14
+    for e, src in zip(form.k1_entries, t.k_entries.points):
+        assert e.mult == src.mult
+        assert abs((form.beta - e.value.real) - 1.0 / (t.alpha + src.value.real)) < 1e-14
 
 
 def test_invert_requires_positive_shift():
@@ -258,7 +258,11 @@ def test_invert_requires_injectivity():
 def test_inverse_eigenvalues_are_reciprocals_of_recomposition():
     t = decompose_positive(full_model())
     spectrum = {round(p.value.real, 9): p.mult for p in recompose(t).points}
-    inverted = invert_triple(t).eigenvalues(0)  # depth 0: points only
+    form = invert_triple(t)
+    # the recombined points: beta - k1, beta + f1, and beta on the identity
+    inverted = ([(form.beta - e.value.real, e.mult) for e in form.k1_entries]
+                + [(form.beta + e.value.real, e.mult) for e in form.f1_entries]
+                + [(form.beta, form.identity_multiplicity)] * bool(form.identity_multiplicity))
     assert inverted
     for v, mult in inverted:
         assert spectrum[round(1.0 / v, 9)] == mult
@@ -316,7 +320,8 @@ def test_structure_eigenvalues_recombine():
         EigenvalueEntry(0j, 1),
     ))
     sd = structure_normal(m)
-    got = sd.eigenvalues(4)
+    got = [(b.eigenvalue(sd.alpha), b.mult) for b in sd.blocks]
+    got.append((0j, sd.kernel_multiplicity))
     expect = {(0j, 1), (-1 + 0j, 2), (2j, INF)}
     assert {(complex(round(v.real, 12), round(v.imag, 12)), m_)
             for v, m_ in got} == expect
@@ -329,8 +334,8 @@ def test_structure_keeps_cluster_blocks_in_original_form():
     assert len(sd.cluster_blocks) == 1
     cb = sd.cluster_blocks[0]
     assert cb.limit == -2.0 + 0j and cb.side == BELOW
-    members = [v for v, _ in sd.eigenvalues(3)]
-    assert members[0] == -2.0 - 0.125
+    assert sd.blocks == () and sd.kernel_multiplicity == 0
+    assert cb.members(3)[0] == -2.0 - 0.125
 
 
 def test_structure_rejects_wrong_kind_and_non_an():
@@ -352,7 +357,8 @@ def test_triple_as_structure_keeps_the_triple_order():
     assert [(b.part, b.value) for b in sd.blocks] == [
         ("k", 1.5), ("f", 1.0), ("f", 1.75)]
     assert [(cb.limit, cb.side) for cb in sd.cluster_blocks] == [(2.0 + 0j, ABOVE)]
-    got = sorted((v.real, m_) for v, m_ in sd.eigenvalues(3))
+    got = sorted([(b.eigenvalue(sd.alpha).real, b.mult) for b in sd.blocks]
+                 + [(m.real, 1) for cb in sd.cluster_blocks for m in cb.members(3)])
     want = sorted((v.real, m_) for v, m_ in
                   [(p.value, p.mult) for p in recompose(t).points]
                   + [(2.0 + d, 1) for d in GEO.terms(3)])

@@ -28,14 +28,13 @@ from anop.oracle import (
     generate_model,
     generate_violator,
     mixed_model,
-    rank_perturbation_check,
     seeded_models,
     _mixing_refutes,
     _SUBSET_CAP,
 )
 from anop.sequences import MERGE_TOL, DecaySequence, close_groups
 
-from conftest import SPECS, positive_points
+from conftest import SPECS, positive_points, rank_perturbation_check
 
 
 GEO = DecaySequence.geometric(0.125, 0.5)

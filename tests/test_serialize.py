@@ -32,10 +32,10 @@ from anop.model import (
     classify,
     moduli_report,
 )
-from anop.oracle import OracleFailure, OracleReport, PerturbationReport
+from anop.oracle import OracleFailure, OracleReport
 from anop.sequences import DecaySequence
 
-from conftest import positive_points
+from conftest import PerturbationReport, positive_points
 
 
 # ---------------------------------------------------------------------------
