@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 
 from . import serialize as sz
@@ -54,6 +55,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative float in any form float() reads (-1e-3, -.5E+2, -inf)
+        # is a value, not an option; argparse's own pattern has no exponent
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -177,11 +185,12 @@ def _cmd_verify(args):
 
 
 def _cmd_blocks(args):
-    from .matrix import CHECK_TOL, _gram, block_form
+    from .matrix import CHECK_TOL, _splitter, block_form
     ro = _realized(args)
-    splitter = _gram(ro.finite, "F") if args.splitter == "gram" else ro.finite
-    bf = block_form(ro.matrix, splitter, _tol(args, CHECK_TOL))
-    return sz.encoded({"splitter": args.splitter, **vars(bf)})
+    tol = _tol(args, CHECK_TOL)
+    _, splitter = _splitter(ro.finite, tol)
+    bf = block_form(ro.matrix, splitter, tol)
+    return sz.encoded({"splitter": "f" if splitter is ro.finite else "gram", **vars(bf)})
 
 
 def _cmd_invert_matrix(args):
@@ -278,8 +287,7 @@ _COMMANDS = (
                      help="attach a structural verification report"),)),
     ("verify", "realize and check the structural identities", _cmd_verify, _MATRIX),
     ("blocks", "compress the realized operator onto range/kernel of F", _cmd_blocks,
-     _MATRIX + (_arg("--splitter", choices=("f", "gram"), default="f",
-                     help="split by F itself or by F*F"),)),
+     _MATRIX),
     ("invert-matrix", "blockwise inverse of a realized positive triple",
      _cmd_invert_matrix, _MATRIX),
     ("polar", "polar decomposition of a matrix document", _cmd_polar,

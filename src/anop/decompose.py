@@ -187,7 +187,9 @@ class StructuredDecomposition:
     """Spectral form of ``T = K - F + alpha*V`` with ``K = V*K1`` and
     ``F = V*F1`` where ``|T| = K1 - F1 + alpha*I``; V vanishes exactly on
     the kernel.  Compact-part accumulations keep their original form: each
-    cluster member carries its own phase ``member / |member|``."""
+    cluster member carries its own phase ``member / |member|``.  A block's
+    part is k, f or identity, its value finite and >= 0, and its phase
+    within ``MERGE_TOL`` of modulus 1; any other block is MALFORMED."""
 
     alpha: float
     blocks: tuple[Block, ...]
@@ -197,6 +199,12 @@ class StructuredDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _checked_alpha(self.alpha))
         for b in self.blocks:
+            if b.part not in ("k", "f", "identity"):
+                raise MalformedModelError(f"block part must be k/f/identity, got {b.part!r}")
+            if not 0.0 <= b.value < INF:
+                raise MalformedModelError(f"block value {b.value} must be finite and >= 0")
+            if not abs(abs(b.phase) - 1.0) <= MERGE_TOL:  # a NaN or infinite phase fails
+                raise MalformedModelError(f"block phase {b.phase} must have modulus 1")
             _as_mult(b.mult)
         _as_count(self.kernel_multiplicity, "kernel multiplicity")
 

@@ -250,6 +250,13 @@ def _gram(m, name: str) -> np.ndarray:
     return gram
 
 
+def _splitter(f, tol: float):
+    """F's Hermitian defect ``||F - F*|| / max(||F||, 1)`` and the matrix
+    that splits by F's range: F within ``tol`` of Hermitian, else ``F*F``."""
+    defect = _fro(f - f.conj().T) / max(_fro(f), 1.0)
+    return defect, (f if defect <= tol else _gram(f, "F"))
+
+
 def _operands(**named) -> list[np.ndarray]:
     """Each named operand as a nonempty square complex matrix; all must
     share one shape."""
@@ -314,17 +321,10 @@ def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
     """Polar factorization ``T = V|T|`` with V a partial isometry that is
     zero on the kernel of T (so V*V is the range projection of ``|T|``).
 
-    ``T*T``, whose norm can be the square of T's, is eigensolved, and the
-    solver takes norms below about 1.3e154.  So a T whose Frobenius norm is
-    not a float below about 1.1e77 raises MalformedModelError before the
-    product is formed."""
+    ``T*T`` is eigensolved; one beyond the solver's range raises
+    MalformedModelError from :func:`_gram`, naming T's norm."""
     t = _as_square(a, "polar input")
-    norm = _fro(t)
-    if not math.isfinite(norm * norm * norm * norm):
-        raise MalformedModelError(
-            f"polar input norm {norm} is not a float below about 1.1e77, "
-            "the range in which the eigensolver takes T*T")
-    eig = hermitian_eigen(t.conj().T @ t)
+    eig = hermitian_eigen(_gram(t, "T"))
     svals = np.sqrt(np.clip(eig.values, 0.0, None))
     modulus = (eig.vectors * svals) @ eig.vectors.conj().T
     keep = svals > tol * max(float(svals[-1]), 1.0)
@@ -613,11 +613,11 @@ def verify_structure(t, k, f, v, alpha: float,
     check ``KF = 0`` in all adjoint placements, that the range/kernel
     splitting of F reduces T, and the converse witness positivity.
 
-    Only ``T*T`` is eigensolved cold; K (positive mode only), the splitter
-    (F if Hermitian, else ``F*F``, whose eigenvalues give every bound on F)
-    and the two witness parts start in its eigenvector basis, in which a
-    canonical decomposition is already diagonal: five solves, four in polar
-    mode.
+    Only ``T*T`` is eigensolved cold.  K (positive mode only), the splitter
+    of :func:`_splitter` (the rule ``anop blocks`` splits by too: F if
+    Hermitian, else ``F*F``; its eigenvalues give every bound on F) and the
+    two witness parts start in the eigenvectors of ``T*T``, in which a
+    canonical decomposition is already diagonal: five solves, four in polar.
     """
     tm, km, fm, vm = _operands(t=t, k=k, f=f, v=v)
     alpha = _checked_alpha(alpha)
@@ -634,7 +634,6 @@ def verify_structure(t, k, f, v, alpha: float,
     kf = max(_fro(km @ fm), _fro(km.conj().T @ fm),
              _fro(km @ fm.conj().T)) / (k_scale * f_scale)
     k_herm = _fro(km - km.conj().T) / k_scale
-    f_herm = _fro(fm - fm.conj().T) / f_scale
     normality = _fro(gram - tm @ tm.conj().T) / (scale * scale)
     vv = vm.conj().T @ vm
     iso = _fro(vv @ vv - vv) / max(_fro(vv), 1.0)
@@ -646,8 +645,9 @@ def verify_structure(t, k, f, v, alpha: float,
     k_psd = f_psd = f_bound = 0.0
     if positive_mode and k_herm <= tol:
         k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
-    f_hermitian = f_herm <= tol
-    split_eig = hermitian_eigen(fm if f_hermitian else _gram(fm, "F"), q)
+    f_herm, splitter = _splitter(fm, tol)
+    f_hermitian = splitter is fm
+    split_eig = hermitian_eigen(splitter, q)
     lo, hi = float(split_eig.values[0]), float(split_eig.values[-1])
     if not positive_mode:
         ff_top = max(lo * lo, hi * hi) if f_hermitian else hi

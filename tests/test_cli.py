@@ -1,4 +1,5 @@
 import argparse
+import functools
 import importlib
 import io
 import json
@@ -118,7 +119,7 @@ def test_domain_failure_exits_two(monkeypatch):
 
 def test_usage_errors_exit_sixtyfour():
     for argv in ([], ["classify", "--bogus"], ["shift", "x.json"],
-                 ["realize", "x.json"]):
+                 ["realize", "x.json"], ["blocks", "x.json", "--dim", "8", "--splitter", "f"]):
         code, out, err = run_cli(argv)
         assert code == 64, argv
         assert out == ""
@@ -150,6 +151,64 @@ def test_every_subcommand_help_exits_zero(command, capsys):
     assert code == 0
     assert out.startswith(f"usage: anop {command} ")
     assert capsys.readouterr().out == ""
+
+
+#: the options each command runs with in the sweep below
+SWEEP_OPTIONS = {
+    "shift": ["--shift", "0.5"],
+    "oracle": ["--depth", "6"],
+    "fuzz": ["--count", "20", "--depth", "6"],
+    **dict.fromkeys(("realize", "verify", "blocks", "invert-matrix"),
+                    ["--dim", "16", "--seed", "3"]),
+}
+#: the commands that read a triple
+TAKES_TRIPLE = {"recompose", "square", "sqrt", "invert", "fredholm",
+                "realize", "verify", "blocks", "invert-matrix"}
+
+
+def _clean_run(argv, stdin_text=None, monkeypatch=None):
+    """Exit code and report of one run that prints one JSON line, exits 0, 1
+    or 2, writes nothing to stderr and raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, stdin_text, monkeypatch)
+    assert code in (0, 1, 2) and err == "", argv
+    [line] = out.splitlines()
+    return code, line
+
+
+def test_every_command_runs_cleanly_on_every_document(tmp_path, monkeypatch):
+    """Every command on each shipped spec, on ``generate_model`` seeds 0-9 of
+    each family and, where it reads one, on the triple ``decompose`` pipes
+    out of each; polar reads the matrix realize makes of each, and fuzz no
+    document.  realize, verify and blocks succeed on every AN document."""
+    from anop.oracle import FAMILIES, generate_model
+    # one parser for the whole sweep: building it is most of a spectral run
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    paths = sorted(SPECS.glob("*.json"))
+    assert paths
+    for family in FAMILIES:
+        for seed in range(10):
+            paths.append(tmp_path / f"{family}-{seed}.json")
+            paths[-1].write_text(sz.emit(sz.model_payload(generate_model(seed, family))))
+    commands = [c for c in _subcommands() if c not in ("fuzz", "polar")]
+    _clean_run(["fuzz", *SWEEP_OPTIONS["fuzz"]])
+    for path in paths:
+        code, line = _clean_run(["classify", str(path)])
+        documents = [(path, code == 0 and json.loads(line)["result"]["is_an"], commands)]
+        code, line = _clean_run(["decompose", str(path)])
+        if code == 0:
+            (tmp_path / "triple.json").write_text(line)
+            documents.append((tmp_path / "triple.json", True,
+                              [c for c in commands if c in TAKES_TRIPLE]))
+        for doc, is_an, runs in documents:
+            for command in runs:
+                argv = [command, str(doc), *SWEEP_OPTIONS.get(command, [])]
+                code, line = _clean_run(argv)
+                if is_an and command in ("realize", "verify", "blocks"):
+                    assert code == 0, (argv, line)
+                if command == "realize" and code == 0:
+                    _clean_run(["polar", "-"], line, monkeypatch)
 
 
 def test_pipe_decompose_into_recompose(monkeypatch):
@@ -305,6 +364,21 @@ def test_non_finite_shift_is_a_usage_error(doc, value, monkeypatch):
     assert err == f"anop: argument --shift: shift must be a finite number, got {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-.5e2", "-1E+2"])
+def test_negative_shift_in_exponent_form_is_a_value(value):
+    doc = str(SPECS / "selfadjoint_signed.json")
+    spaced = run_cli(["shift", doc, "--shift", value])
+    assert spaced[0] == 0
+    assert spaced == run_cli(["shift", doc, f"--shift={value}"])
+
+
+def test_negative_infinite_shift_as_its_own_argument_is_not_finite():
+    code, out, err = run_cli(["shift", str(SPECS / "selfadjoint_signed.json"),
+                              "--shift", "-inf"])
+    assert (code, out) == (64, "")
+    assert err == "anop: argument --shift: shift must be a finite number, got '-inf'\n"
+
+
 @pytest.mark.parametrize("block_mult,kernel", [(-2, 0), (1, -3)],
                          ids=["negative_block_mult", "negative_kernel"])
 def test_structure_with_negative_multiplicity_is_malformed(block_mult, kernel, monkeypatch):
@@ -423,28 +497,42 @@ def test_non_finite_matrix_entry_is_a_parse_error(entry, monkeypatch):
 
 
 #: documents refused with one MALFORMED line: a huge model value meets the
-#: check of non-finite values, and T*T of a huge matrix (or the gram
-#: splitter's F*F) is beyond the eigensolver's range.  The third field starts
-#: the message of a Gram product refusal, which names the finite norm of the
-#: realized T or F, never that of the product.
+#: check of non-finite values, T*T of a huge matrix (or F*F, the splitter of
+#: a normal model's F) or a huge Hermitian F is beyond the eigensolver's
+#: range, and a structure block whose value or phase states no eigenvalue is
+#: refused as the structure is built.  The third field starts the message of
+#: a Gram product refusal, which names the finite norm of the realized T or
+#: F, never that of the product, of the eigensolver's own refusal, or of the
+#: block check.
 BIG_K = '{"kind":"positive","points":[{"value":2.0,"mult":"inf"},{"value":%s,"mult":2}]}'
+BAD_BLOCK = ('{"alpha":1.0,"blocks":[{"phase":%s,"part":"%s","value":%s,"mult":1}],'
+             '"clusters":[],"kernel_multiplicity":0}')
 MALFORMED_NUMBERS = {
     "value": ("classify", '{"kind":"positive","points":[{"value":%s,"mult":1}]}' % HUGE,
               None),
     "normal-value": ("classify",
                      '{"kind":"normal","points":[{"value":[1.0,-%s],"mult":1}]}' % HUGE,
                      None),
-    "polar-1e160": ("polar", '{"matrix":[[1e160,0],[0,1]]}', None),
-    "polar-1e100": ("polar", '{"matrix":[[1e100,0],[0,1]]}', None),
+    "polar-1e160": ("polar", '{"matrix":[[1e160,0],[0,1]]}', "T norm 1e+160 "),
+    "polar-1e100": ("polar", '{"matrix":[[1e100,0],[0,1]]}', "T norm 1e+100 "),
     "verify-1e100": ("verify --dim 8", BIG_K % "1e100", "T norm 1.414213562373095e+100 "),
     "verify-1e300": ("verify --dim 8", BIG_K % "1e300", "T norm 1.4142135623730952e+300 "),
     "realize-verify-1e100": ("realize --verify --dim 8", BIG_K % "1e100",
                              "T norm 1.414213562373095e+100 "),
     "realize-verify-1e300": ("realize --verify --dim 8", BIG_K % "1e300",
                              "T norm 1.4142135623730952e+300 "),
-    "blocks-gram": ("blocks --dim 8 --splitter gram",
-                    '{"kind":"positive","points":[{"value":1e300,"mult":"inf"},'
-                    '{"value":5e299,"mult":1}]}', "F norm 5e+299 "),
+    "blocks-gram": ("blocks --dim 8",
+                    '{"kind":"normal","points":[{"value":[1e300,0],"mult":"inf"},'
+                    '{"value":[0,5e299],"mult":1}]}', "F norm 5e+299 "),
+    "blocks-f": ("blocks --dim 8",
+                 '{"kind":"positive","points":[{"value":1e300,"mult":"inf"},'
+                 '{"value":5e299,"mult":1}]}', "eigensolver input norm 5e+299 "),
+    "block-value-1e400": ("verify --dim 3", BAD_BLOCK % ("[0.6,0.8]", "k", "1e400"), None),
+    "block-value-negative": ("realize --dim 3", BAD_BLOCK % ("[1,0]", "f", "-3.0"),
+                             "block value -3.0 "),
+    "block-phase-0": ("verify --dim 3", BAD_BLOCK % ("[0,0]", "k", "0.5"), "block phase 0j "),
+    "block-phase-2": ("realize --dim 3", BAD_BLOCK % ("[2,0]", "k", "0.5"),
+                      "block phase (2+0j) "),
 }
 
 

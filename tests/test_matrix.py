@@ -148,7 +148,7 @@ def test_overflowing_norm_is_named_as_a_finite_magnitude():
         with pytest.raises(MalformedModelError) as polar_exc:
             polar_decompose([[1e160, 0.0], [0.0, 1.0]])
     assert re.search(r"norm 1\.41421356\d*e\+160 is not a finite float", eig_exc.value.message)
-    assert "polar input norm 1e+160 " in polar_exc.value.message
+    assert polar_exc.value.message.startswith("T norm 1e+160 ")
     for exc in (eig_exc, polar_exc):
         assert "inf" not in exc.value.message
 
@@ -331,7 +331,7 @@ def test_polar_refuses_input_whose_gram_is_beyond_the_solver_range(entry):
     t = np.array([[entry, 0.0], [0.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(MalformedModelError, match="polar input norm"):
+        with pytest.raises(MalformedModelError, match=re.escape(f"T norm {entry} ")):
             polar_decompose(t)
 
 
@@ -551,6 +551,20 @@ def test_realize_rejects_infinite_compact_blocks():
     sd = StructuredDecomposition(2.0, (Block(1.0 + 0j, "k", 1.0, INF),), (), 0)
     with pytest.raises(MalformedModelError):
         realize_matrix(sd, dim=8)
+
+
+@pytest.mark.parametrize("phase,part,value", [
+    (1.0 + 0j, "q", 0.5), (0j, "q", -3.0), (1.0 + 0j, "k", -3.0),
+    (1.0 + 0j, "f", math.inf), (1.0 + 0j, "k", math.nan), (0j, "k", 0.5),
+    (2.0 + 0j, "f", 0.5), (complex(math.nan, 0.0), "identity", 0.0),
+], ids=["part", "part-zero-phase-negative", "negative", "infinite", "nan-value",
+        "zero-phase", "long-phase", "nan-phase"])
+def test_structure_refuses_a_block_it_cannot_realize(phase, part, value):
+    # once realized without a word: a part that is not k/f/identity was
+    # dropped, and a bad value or phase became an eigenvalue no block states
+    with pytest.raises(MalformedModelError):
+        realize_matrix(StructuredDecomposition(1.0, (Block(phase, part, value, 1),), (), 0),
+                       dim=4)
 
 
 def test_realize_seed_conjugates_all_components():
