@@ -9,24 +9,26 @@ JSON report line::
 Reports from one command can be piped into the next; the loader unwraps the
 envelope automatically.  Exit codes: 0 success, 1 unreadable or structurally
 invalid input, 2 domain failure (diagnostics carry the code), 64 usage.
-The matrix commands (realize, verify, blocks, invert-matrix, polar) take
---tol, and the ANOP_TOL environment variable overrides their default
-tolerance (library calls are unaffected); a --tol flag beats the environment.
+--tol bounds the checks of verify and realize --verify and is polar's rank
+cutoff; the ANOP_TOL environment variable overrides its default there
+(library calls are unaffected) and a --tol flag beats the environment.
+blocks and invert-matrix judge nothing: they split F at ``CHECK_TOL``.
 A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
 (64), a bad ANOP_TOL a PARSE failure (1).  Spectral verdicts, oracle and fuzz
 included, are decided at ``MERGE_TOL``, which neither reaches.
 
 Each command is declared once, as its row of ``_COMMANDS`` (name, help, body
-and arguments); the parser is built from that table.  The bodies of the
-matrix commands (realize, verify, blocks, invert-matrix, polar) and of
-oracle and fuzz import ``anop.matrix`` or ``anop.oracle`` when they run, so
-the other twelve commands never load numpy.
+and arguments); the parser is built from that table, once per process.  The
+bodies of the matrix commands (realize, verify, blocks, invert-matrix, polar)
+and of oracle and fuzz import ``anop.matrix`` or ``anop.oracle`` when they
+run, so the other twelve commands never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import re
@@ -187,17 +189,16 @@ def _cmd_verify(args):
 def _cmd_blocks(args):
     from .matrix import CHECK_TOL, _splitter, block_form
     ro = _realized(args)
-    tol = _tol(args, CHECK_TOL)
-    _, splitter = _splitter(ro.finite, tol)
-    bf = block_form(ro.matrix, splitter, tol)
+    _, splitter = _splitter(ro.finite, CHECK_TOL)
+    bf = block_form(ro.matrix, splitter)
     return sz.encoded({"splitter": "f" if splitter is ro.finite else "gram", **vars(bf)})
 
 
 def _cmd_invert_matrix(args):
     import numpy as np
-    from .matrix import CHECK_TOL, _fro, inverse_via_blocks
+    from .matrix import _fro, inverse_via_blocks
     ro = _realized(args, _positive_triple)
-    inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha, _tol(args, CHECK_TOL))
+    inv = inverse_via_blocks(ro.compact, ro.finite, ro.alpha)
     residual = _fro(ro.matrix @ inv - np.eye(args.dim)) / math.sqrt(args.dim)
     return sz.encoded({"dim": args.dim, "seed": args.seed, "residual": residual,
                        "inverse": inv})
@@ -257,8 +258,9 @@ _MATRIX = _INPUT + (
     _arg("--dim", type=int, required=True, help="matrix dimension"),
     _arg("--seed", type=int, default=0,
          help="conjugating unitary seed (0 keeps the diagonal)"),
-    _tol_arg("check tolerance"),
 )
+#: the matrix commands that judge checks, whose bound --tol sets
+_CHECKED = _MATRIX + (_tol_arg("check tolerance"),)
 
 #: every command in ``anop --help`` order: (name, help, body, arguments)
 _COMMANDS = (
@@ -283,9 +285,9 @@ _COMMANDS = (
     ("fredholm", "Fredholm-type properties of a triple (or AN positive model)",
      _chain(_positive_triple, fredholm_report, sz.fredholm_payload), _INPUT),
     ("realize", "materialize a decomposition as a finite matrix", _cmd_realize,
-     _MATRIX + (_arg("--verify", action="store_true",
-                     help="attach a structural verification report"),)),
-    ("verify", "realize and check the structural identities", _cmd_verify, _MATRIX),
+     _CHECKED + (_arg("--verify", action="store_true",
+                      help="attach a structural verification report"),)),
+    ("verify", "realize and check the structural identities", _cmd_verify, _CHECKED),
     ("blocks", "compress the realized operator onto range/kernel of F", _cmd_blocks,
      _MATRIX),
     ("invert-matrix", "blockwise inverse of a realized positive triple",
@@ -304,6 +306,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="anop",
                      description="absolutely norm-attaining spectrum toolkit")
@@ -334,18 +337,11 @@ def execute(argv, out=None, err=None) -> int:
         return 64
     try:
         result = args.run(args)
-    except ParseError as exc:
+    except (ParseError, OSError, AnopError) as exc:
+        code = "IO" if isinstance(exc, OSError) else exc.code
         out.write(sz.emit(sz.report(
-            args.command, None, [{"code": "PARSE", "message": exc.message}])))
-        return 1
-    except OSError as exc:
-        out.write(sz.emit(sz.report(
-            args.command, None, [{"code": "IO", "message": str(exc)}])))
-        return 1
-    except AnopError as exc:
-        out.write(sz.emit(sz.report(
-            args.command, None, [{"code": exc.code, "message": exc.message}])))
-        return 2
+            args.command, None, [{"code": code, "message": str(exc)}])))
+        return 2 if isinstance(exc, AnopError) else 1
     out.write(sz.emit(sz.report(args.command, result)))
     return 0
 

@@ -8,9 +8,11 @@ failures uniformly and tests can assert on the cause without string matching.
 class ParseError(Exception):
     """Structurally invalid input (bad JSON shape, wrong field types).
 
-    Deliberately not an AnopError: the CLI maps it to the I/O exit path
-    while domain failures below carry their own codes.
+    Deliberately not an AnopError: the CLI exits 1 on it, as on an I/O
+    failure, and 2 on the domain failures below.
     """
+
+    code = "PARSE"
 
     def __init__(self, message: str):
         super().__init__(message)

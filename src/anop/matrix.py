@@ -327,9 +327,9 @@ def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
     eig = hermitian_eigen(_gram(t, "T"))
     svals = np.sqrt(np.clip(eig.values, 0.0, None))
     modulus = (eig.vectors * svals) @ eig.vectors.conj().T
-    keep = svals > tol * max(float(svals[-1]), 1.0)
-    cols = eig.vectors[:, keep]
-    iso = ((t @ cols) / svals[keep]) @ cols.conj().T
+    order, r = _range_first(svals, tol)
+    cols = eig.vectors[:, order[:r]]
+    iso = ((t @ cols) / svals[order[:r]]) @ cols.conj().T
     return PolarPair(iso, modulus)
 
 
@@ -498,15 +498,15 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
 # structural verification
 
 
-def block_form(a, splitter, tol: float = CHECK_TOL) -> BlockForm:
+def block_form(a, splitter) -> BlockForm:
     """Compress ``a`` onto range/kernel of a Hermitian splitter.
 
-    The basis puts range eigenvectors first.  The off-diagonal norm is the
-    larger Frobenius norm of the two coupling blocks; it vanishes exactly
-    when the splitting reduces ``a``.
+    The basis puts range eigenvectors first, split at ``CHECK_TOL``.  The
+    off-diagonal norm is the larger Frobenius norm of the two coupling
+    blocks; it vanishes exactly when the splitting reduces ``a``.
     """
     t, s = _operands(a=a, splitter=splitter)
-    return _block_form(t, hermitian_eigen(s), tol)
+    return _block_form(t, hermitian_eigen(s), CHECK_TOL)
 
 
 def _range_first(values, tol: float):
@@ -535,10 +535,11 @@ def inverse_via_blocks(k, f, alpha: float, tol: float = CHECK_TOL) -> np.ndarray
     ``(1/alpha) * (I + F0 @ (alpha*I - F0)**-1)``.  F is eigensolved once:
     F0 is diagonal on F's range eigenvectors, so its block needs no second
     eigensolve; K0 is eigensolved on the kernel of F.  Requires
-    ``alpha > 0`` and F strictly below alpha.
+    ``alpha > MERGE_TOL``, as :func:`invert_triple` does, and F below alpha
+    by ``tol * alpha``, F's range cutoff (``invert-matrix``: ``CHECK_TOL``).
     """
     km, fm = _operands(k=k, f=f)
-    if alpha <= tol:
+    if alpha <= MERGE_TOL:
         raise AlphaZeroError("blockwise inversion requires a positive shift")
     f_eig = hermitian_eigen(fm)
     order, r = _range_first(f_eig.values, tol)

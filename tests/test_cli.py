@@ -1,5 +1,4 @@
 import argparse
-import functools
 import importlib
 import io
 import json
@@ -132,11 +131,41 @@ def test_help_exits_zero():
     assert out.startswith("usage: anop ")
 
 
+def test_one_parser_serves_every_call_alike():
+    argv = ["classify", str(SPECS / "positive_tail.json")]
+    first = run_cli(argv)
+    parser = cli._build_parser()
+    assert run_cli(["classify", "--bogus"])[0] == 64
+    assert run_cli(["verify", "--help"])[0] == 0
+    assert run_cli(argv) == first
+    assert first[0] == 0 and cli._build_parser() is parser
+
+
 def _subcommands():
     """The subcommand names, in the parser's order."""
     parser = cli._build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return list(sub.choices)
+
+
+#: every (command, option) pair; --tol only where it bounds a judged check
+#: (realize --verify, verify) or is polar's rank cutoff
+OPTIONS = [
+    ("shift", "--shift"),
+    ("realize", "--dim"), ("realize", "--seed"), ("realize", "--tol"), ("realize", "--verify"),
+    ("verify", "--dim"), ("verify", "--seed"), ("verify", "--tol"),
+    ("blocks", "--dim"), ("blocks", "--seed"),
+    ("invert-matrix", "--dim"), ("invert-matrix", "--seed"),
+    ("polar", "--tol"),
+    ("oracle", "--depth"),
+    ("fuzz", "--count"), ("fuzz", "--family"), ("fuzz", "--seed"), ("fuzz", "--depth"),
+]
+
+
+def test_command_options_are_pinned():
+    assert [(name, flags[0]) for name, _, _, arguments in cli._COMMANDS
+            for flags, _ in arguments if flags[0].startswith("-")] == OPTIONS
+    assert len(OPTIONS) == 18
 
 
 def test_readme_names_exactly_the_parsers_commands():
@@ -183,8 +212,6 @@ def test_every_command_runs_cleanly_on_every_document(tmp_path, monkeypatch):
     out of each; polar reads the matrix realize makes of each, and fuzz no
     document.  realize, verify and blocks succeed on every AN document."""
     from anop.oracle import FAMILIES, generate_model
-    # one parser for the whole sweep: building it is most of a spectral run
-    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
     paths = sorted(SPECS.glob("*.json"))
     assert paths
     for family in FAMILIES:
@@ -281,10 +308,13 @@ def test_env_tolerance_outside_unit_interval_is_a_parse_failure(monkeypatch, val
         assert env["diagnostics"][0]["code"] == "PARSE"
 
 
-@pytest.mark.parametrize("argv", [["oracle", "positive_tail.json"], ["fuzz"]],
+@pytest.mark.parametrize("argv", [["oracle", "positive_tail.json"], ["fuzz"],
+                                  ["blocks", "positive_tail.json", "--dim", "8"],
+                                  ["invert-matrix", "positive_tail.json", "--dim", "8"]],
                          ids=lambda argv: argv[0])
 def test_spectral_commands_take_no_tolerance_flag(argv):
-    # the oracle decides at the classifier's MERGE_TOL, which no flag reaches
+    # the oracle decides at the classifier's MERGE_TOL, and blocks and
+    # invert-matrix split F at CHECK_TOL; no flag reaches either
     argv = [str(SPECS / a) if a.endswith(".json") else a for a in argv]
     code, out, err = run_cli(argv + ["--tol", "0.1"])
     assert code == 64
@@ -292,13 +322,21 @@ def test_spectral_commands_take_no_tolerance_flag(argv):
     assert err.count("\n") == 1 and err.startswith("anop: ")
 
 
-def test_env_tolerance_leaves_oracle_and_fuzz_unchanged(monkeypatch):
+#: a triple whose F of rank 1 an ANOP_TOL of 0.5 would put in the kernel
+RANK_ONE_F = ('{"alpha":1.0,"identity_multiplicity":1,"f":[{"value":0.3,"mult":1}],'
+              '"k":{"kind":"positive","points":[{"value":1.0,"mult":1}]}}')
+
+
+def test_env_tolerance_leaves_oracle_and_fuzz_unchanged(monkeypatch, tmp_path):
+    (tmp_path / "triple.json").write_text(RANK_ONE_F)
+    matrix = [str(tmp_path / "triple.json"), "--dim", "3", "--seed", "3"]
     runs = (["oracle", str(SPECS / "violator_from_below.json")],
-            ["fuzz", "--count", "240"])
+            ["fuzz", "--count", "240"], ["blocks", *matrix], ["invert-matrix", *matrix])
     plain = [run_cli(argv) for argv in runs]
-    monkeypatch.setenv("ANOP_TOL", "0.1")
+    monkeypatch.setenv("ANOP_TOL", "0.5")
     assert [run_cli(argv) for argv in runs] == plain
-    assert [code for code, _, _ in plain] == [0, 0]
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0]
+    assert json.loads(plain[2][1])["result"]["range_dim"] == 1
 
 
 def test_fuzz_reports_full_agreement():
@@ -630,6 +668,11 @@ DIAGNOSTIC_CASES = {
                    "finite-rank part multiplicities must be finite"),
     "f-mult-zero": ("recompose", _triple(f=[{"value": 1.0, "mult": 0}]), 2, "MALFORMED",
                     "finite-rank part multiplicity 0 must be a positive integer"),
+    "alpha-within-merge-tol": ("invert-matrix", {"alpha": 5e-10, "identity_multiplicity": 1,
+                                                 "k": {"kind": "positive",
+                                                       "points": [{"value": 1.0, "mult": 1}]},
+                                                 "f": []},
+                               2, "ALPHA_ZERO", "blockwise inversion requires a positive shift"),
     "negative-cluster": ("decompose", {"kind": "positive",
                                        "points": [{"value": 1.0, "mult": 1}],
                                        "clusters": [_cluster(-1.0)]},
@@ -641,7 +684,7 @@ DIAGNOSTIC_CASES = {
                          DIAGNOSTIC_CASES.values(), ids=DIAGNOSTIC_CASES)
 def test_refused_document_names_its_fault(command, doc, exit_code, diag_code, message,
                                           monkeypatch):
-    argv = [command, "-"] + (["--dim", "6"] if command == "verify" else [])
+    argv = [command, "-"] + (["--dim", "6"] if command in ("verify", "invert-matrix") else [])
     code, out, err = run_cli(argv, stdin_text=json.dumps(doc), monkeypatch=monkeypatch)
     assert (code, err) == (exit_code, "")
     [line] = out.splitlines()

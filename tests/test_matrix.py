@@ -797,8 +797,10 @@ def test_inverse_via_blocks_requires_shift_and_injectivity():
     n = 3
     k = np.diag([1.0, 0.0, 0.0]).astype(complex)
     f = np.zeros((n, n), dtype=complex)
-    with pytest.raises(AlphaZeroError):
-        inverse_via_blocks(k, f, 0.0)
+    # alpha is data: within MERGE_TOL of zero it is no shift, as in invert
+    for alpha in (0.0, 5e-10):
+        with pytest.raises(AlphaZeroError):
+            inverse_via_blocks(k, f, alpha)
     f = np.diag([0.0, 2.0, 0.0]).astype(complex)
     with pytest.raises(NotInjectiveError):
         inverse_via_blocks(k, f, 2.0)
