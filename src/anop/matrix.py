@@ -12,8 +12,9 @@ Veselic, 1992); numpy's LAPACK routines appear only in ``tests/``.  The
 kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
 (1985) round-robin order, whose rounds of disjoint rotations vectorize.  The
 matrix and its eigenvector basis are one column-major ``(2n, n)`` stack, so
-a round is one column gather that rotates both and one row gather on the
-matrix; the order is built only when a first sweep runs.
+a round is one column gather that rotates both, then one row gather, one
+row scatter and one zeroing scatter on the matrix; the order is built only
+when a first sweep runs.
 
 Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
 once, cold, and passes its eigenvectors ``Q`` as the ``basis`` of every
@@ -25,11 +26,15 @@ take no sweep.  The stopping test is the same as for a cold solve, so a
 basis that fits ``X`` poorly costs sweeps, not accuracy.  The solver takes
 input whose Frobenius norm is a finite float, below about 1.3e154; a ``T*T``
 or ``F*F`` beyond that is refused as it is formed, naming T's or F's norm.
+There is no lower bound: a norm whose sum of squares underflows is taken
+scaled by the largest entry, and Jacobi solves input of norm below about
+1.2e-271 scaled up by a power of two.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +57,9 @@ EIGEN_TOL = 1e-13
 MAX_SWEEPS = 100
 CHECK_TOL = 1e-10
 POLAR_TOL = 1e-12
+# Jacobi rescales input of smaller Frobenius norm, about 1.2e-271, by its
+# inverse: ``EIGEN_TOL * norm / (2n)`` stays a normal float up to MAX_DIM
+_TINY_NORM = 2.0 ** -900
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -81,53 +89,76 @@ def _jacobi_sweeps(av):
     ``MAX_SWEEPS`` sweeps do not converge.
 
     A round's rotations touch disjoint pairs, so they commute and are
-    applied at once: one column gather of the round's ``concat(p, q)`` and
-    two scatters rotate ``a`` and ``v`` together, then one row gather and
-    two scatters on the view ``a``.  The order is built only once the first
-    convergence test fails, so a solve that starts converged never builds
-    it.  The off-diagonal mass is summed directly: deriving it from
-    ``norm(a)**2 - norm(diag)**2`` cancels catastrophically near
-    convergence and stalls the test on rounding noise.
+    applied at once.  Its pivots and both diagonals are 1-D gathers from the
+    stack's memory.  One column gather of the round's ``concat(p, q)`` and
+    two scatters rotate ``a`` and ``v`` together.  On the view ``a``, one
+    gather of rows ``concat(p, q)`` takes both products of every row, the
+    sums and differences are formed in place, one scatter writes the rows
+    and one 1-D scatter zeroes the pivots: the floating-point operations of
+    separate ``p`` and ``q`` updates, so the same bits, signed zeros
+    included.  Each round's index arrays are built once per solve, and only
+    once the first convergence test fails, so a solve that starts converged
+    never builds the order.  The off-diagonal mass is summed directly:
+    deriving it from ``norm(a)**2 - norm(diag)**2`` cancels
+    catastrophically near convergence and stalls the test on rounding noise.
     """
     n = av.shape[1]
     a = av[:n]
     norm_f = _fro(a)
     if norm_f == 0.0:
         return 0
+    if norm_f < _TINY_NORM:
+        # the pivot threshold would near the subnormals, where rotations
+        # lose their precision or overflow; a power of two scales exactly
+        a /= _TINY_NORM
+        sweeps = _jacobi_sweeps(av)
+        a *= _TINY_NORM
+        return sweeps
     thresh = EIGEN_TOL * norm_f
     pivot_tol = thresh / (2.0 * n)
     off_diagonal = ~np.eye(n, dtype=bool)
+    # the stack's memory as one vector: entry (i, j) of a is flat[i + 2n j]
+    flat = av.reshape(-1, order="F")
+    diagonal = flat.view(np.float64)[::4 * n + 2]  # the real parts
     rounds = None
     for sweep in range(MAX_SWEEPS):
         if _fro(a[off_diagonal]) <= thresh:
             return sweep
         if rounds is None:
-            rounds = _parallel_order(n)
-        for pq in rounds:
-            h = pq.size // 2
-            p, q = pq[:h], pq[h:]
-            apq = a[p, q]
+            h = n // 2  # pairs per round; odd n drops its phantom's pair
+            rounds = []
+            for pq in _parallel_order(n):
+                # flat indices of the entries (p, q), then of (q, p)
+                pivots = pq + 2 * n * np.concatenate((pq[h:], pq[:h]))
+                rounds.append((pq[:h], pq[h:], pq, pivots[:h], pivots))
+        for p, q, pq, upper, pivots in rounds:
+            apq = flat[upper]
             r = np.abs(apq)
             big = r > pivot_tol
-            if not big.all():
-                p, q, apq, r = p[big], q[big], apq[big], r[big]
-                if p.size == 0:
+            h = np.count_nonzero(big)
+            if h < p.size:
+                if h == 0:
                     continue
-                h, pq = p.size, np.concatenate((p, q))
-            tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
+                p, q, apq, r = p[big], q[big], apq[big], r[big]
+                pqp = np.concatenate((p, q, p))
+                pq, pivots = pqp[:2 * h], pqp[:2 * h] + 2 * n * pqp[h:]
+            d = diagonal[pq]
+            tau = (d[:h] - d[h:]) / (2.0 * r)
             t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             sp = t * c * (apq / r)
             spc = sp.conj()
+            c = c.astype(np.complex128)
             m = av[:, pq]
             av[:, p] = c * m[:, :h] + spc * m[:, h:]
             av[:, q] = c * m[:, h:] - sp * m[:, :h]
-            c, sp, spc = c[:, None], sp[:, None], spc[:, None]
             m = a[pq]
-            a[p] = c * m[:h] + sp * m[h:]
-            a[q] = c * m[h:] - spc * m[:h]
-            a[p, q] = 0.0
-            a[q, p] = 0.0
+            y = np.concatenate((spc, sp))[:, None] * m
+            m *= np.concatenate((c, c))[:, None]
+            np.add(m[:h], y[h:], out=m[:h])
+            np.subtract(m[h:], y[:h], out=m[h:])
+            a[pq] = m
+            flat[pivots] = 0.0
     return -1
 
 
@@ -227,13 +258,17 @@ def _as_square(a, what: str) -> np.ndarray:
 
 
 def _fro(a) -> float:
-    """Frobenius norm, scaled by the largest entry if the sum of squares overflows."""
+    """Frobenius norm.  When the sum of squares leaves the normal floats, as
+    it overflows for entries above about 1e154 and underflows to a subnormal
+    or zero when every entry is below about 1e-154, the moduli are first
+    divided by the largest."""
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(a) ** 2))
-    if total == math.inf:
-        big = float(np.max(np.abs(a)))
-        if big < math.inf:
-            return big * math.sqrt(float(np.sum(np.abs(a / big) ** 2)))
+    if not sys.float_info.min <= total < math.inf:
+        mod = np.abs(a)
+        big = float(np.max(mod, initial=0.0))
+        if 0.0 < big < math.inf:
+            return big * math.sqrt(float(np.sum((mod / big) ** 2)))
     return math.sqrt(total)
 
 
@@ -291,9 +326,10 @@ def hermitian_eigen(a, basis=None) -> EigenDecomposition:
     (parallel-order) Jacobi, started in the orthonormal ``basis`` unless it
     is None.
 
-    The input checks run on ``a`` itself.  With a basis, Jacobi runs on
-    ``basis* a basis`` and the eigenvectors come back through ``basis``,
-    which is Jacobi with the accumulated basis started at ``basis``.
+    The input checks run once, on ``a`` itself.  With a basis, Jacobi runs
+    on ``basis* a basis``, Hermitian by construction and only symmetrized,
+    and the eigenvectors come back through ``basis``, which is Jacobi with
+    the accumulated basis started at ``basis``.
 
     Raises NotHermitianError when the input is not Hermitian to working
     precision, DimTooLargeError beyond MAX_DIM, MalformedModelError when
@@ -304,7 +340,8 @@ def hermitian_eigen(a, basis=None) -> EigenDecomposition:
     work = _hermitian_input(a)
     if basis is not None:
         _, basis = _operands(a=work, basis=basis)
-        work = _hermitian_input(basis.conj().T @ work @ basis)
+        work = basis.conj().T @ work @ basis
+        work = (work + work.conj().T) / 2.0
     n = work.shape[0]
     av = np.asfortranarray(np.concatenate((work, np.eye(n))))
     sweeps = _jacobi_sweeps(av)

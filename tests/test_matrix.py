@@ -13,6 +13,7 @@ from anop.decompose import (
     PositiveTriple,
     StructuredDecomposition,
     decompose_positive,
+    decomposition,
     structure_normal,
     structure_selfadjoint,
 )
@@ -48,6 +49,7 @@ from anop.model import (
     EigenvalueEntry,
     SpectrumModel,
 )
+from anop.oracle import seeded_models
 from anop.sequences import DecaySequence
 from anop.serialize import parse_structure
 
@@ -296,6 +298,100 @@ def test_solve_that_starts_converged_builds_no_order(monkeypatch):
     monkeypatch.setattr(anop.matrix, "_parallel_order", refuse)
     assert hermitian_eigen(np.diag([3.0, -1.0, 2.0, 0.5])).sweeps == 0
     assert hermitian_eigen(a, basis=own).sweeps == 0
+
+
+def assert_matches_the_reference_kernel(a, basis=None):
+    eig = hermitian_eigen(a, basis)
+    values, vectors, sweeps = reference_eigen(a, basis)
+    # bytes, not values: a signed zero that differs fails too
+    assert eig.values.tobytes() == values.tobytes()
+    assert eig.vectors.tobytes() == vectors.tobytes()
+    assert eig.vectors.strides == vectors.strides
+    assert eig.sweeps == sweeps
+    return eig
+
+
+@pytest.mark.parametrize("dim", [8, 13, 16, 21, 24, 29, 32, 33])
+def test_eigen_matches_the_reference_kernel_on_what_verify_sends(dim):
+    # T*T of a seeded realization, solved cold, then K's Hermitian part and
+    # the splitter of F (F, or F*F when F is not Hermitian) solved in its
+    # eigenvectors, as verify_structure does
+    for seed, tag, m in seeded_models("all", 12, base_seed=dim):
+        if tag.startswith("violator"):
+            continue
+        try:
+            ro = realize_matrix(decomposition(m), dim, seed=seed + 1)
+        except DimTooSmallError:
+            continue
+        t = ro.matrix
+        q = assert_matches_the_reference_kernel(t.conj().T @ t).vectors
+        assert_matches_the_reference_kernel((ro.compact + ro.compact.conj().T) / 2, q)
+        _, splitter = anop.matrix._splitter(ro.finite, anop.matrix.CHECK_TOL)
+        assert_matches_the_reference_kernel(splitter, q)
+
+
+def block_diagonal_hermitian(n):
+    """Seeded Hermitian blocks of at most three rows down the diagonal: a
+    pair across two blocks stays zero, so most pairs of a round fall below
+    the pivot threshold and some rounds have no pair above it."""
+    a = np.zeros((n, n), dtype=complex)
+    for start in range(0, n, 3):
+        stop = min(start + 3, n)
+        a[start:stop, start:stop] = random_hermitian(stop - start, seed=start)
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 16, 31])
+def test_eigen_matches_the_reference_kernel_on_filtered_rounds(n):
+    a = block_diagonal_hermitian(n)
+    assert_matches_the_reference_kernel(a)
+    assert_matches_the_reference_kernel(a, seeded_unitary(n, 7))
+    # the same blocks with signed zeros between them
+    assert_matches_the_reference_kernel(np.where(a == 0, -0.0, a))
+
+
+def signed_zero_hermitian(rng, n):
+    """Gaussian entries, and zeros of either sign in either part."""
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    a = np.array([[zeros[rng.integers(4)] if rng.random() < 0.6 else complex(*rng.standard_normal(2))
+                   for _ in range(n)] for _ in range(n)])
+    return (a + a.conj().T) / 2.0
+
+
+def test_kernel_leaves_the_reference_kernel_bytes_on_signed_zeros():
+    # the whole stack, off-diagonal zeros included, not only what a solve returns
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        a = signed_zero_hermitian(rng, n)
+        av = np.asfortranarray(np.concatenate((a, np.eye(n))))
+        ref_a, ref_v = a.copy(), np.eye(n, dtype=complex)
+        assert anop.matrix._jacobi_sweeps(av) == reference_sweeps(ref_a, ref_v)
+        assert np.ascontiguousarray(av[:n]).tobytes() == ref_a.tobytes()
+        assert np.ascontiguousarray(av[n:]).tobytes() == ref_v.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-250, 1e-300])
+def test_eigen_of_a_tiny_matrix_is_the_scaled_eigen(scale):
+    # every entry squares below the smallest float: the norm must not read 0
+    assert anop.matrix._fro(scale * np.ones((2, 2))) == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
+    for h in ([[0.0, 1.0], [1.0, 0.0]], [[2.0, 1.0], [1.0, 3.0]], random_hermitian(8, seed=3)):
+        h = np.asarray(h, dtype=complex)
+        want = scale * hermitian_eigen(h).values
+        eig = hermitian_eigen(scale * h)
+        assert eig.sweeps > 0
+        assert np.max(np.abs(eig.values - want)) <= 1e-12 * np.max(np.abs(want))
+        if scale > 1e-271:   # the reference kernel does not rescale tinier input
+            assert_matches_the_reference_kernel(scale * h)
+
+
+def test_eigen_of_subnormal_entries_is_finite():
+    v = 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = hermitian_eigen([[0.0, v], [v, 0.0]])
+    assert eig.sweeps == 1
+    assert np.allclose(eig.values, [-v, v], rtol=1e-6, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
