@@ -6,15 +6,17 @@ an in-house Jacobi solver, and checking the structural identities
 ``T = K - F + alpha*V``, ``KF = 0``, positivity bounds and the converse
 witness ``T*T = scriptK - scriptF + alpha**2 * V*V``.
 
-The Jacobi kernel is the only eigensolver this package trusts for its own
-results, for the high relative accuracy of Jacobi methods (Demmel and
-Veselic, 1992); numpy's LAPACK routines appear only in ``tests/``.  The
-kernel is plain numpy: it visits the off-diagonal pairs in the Brent-Luk
-(1985) round-robin order, whose rounds of disjoint rotations vectorize.  The
-matrix and its eigenvector basis are one column-major ``(2n, n)`` stack, so
-a round is one column gather that rotates both, then one row gather, one
-row scatter and one zeroing scatter on the matrix; the order is built only
-when a first sweep runs.
+The Jacobi kernel is the only eigensolver in ``src/``; numpy's LAPACK
+routines appear only in ``tests/``.  Its pivot and stopping tests are
+absolute, about ``EIGEN_TOL * norm(A, 'fro')``: on graded input spanning
+1e-8 its worst relative eigenvalue error measured 6.0e-2 (LAPACK's
+1.1e-14), and relative accuracy (Demmel and Veselic, 1992) is ROADMAP.md's
+Direction 16.  The kernel is plain numpy: it visits the off-diagonal pairs
+in the Brent-Luk (1985) round-robin order, whose rounds of disjoint
+rotations vectorize.  The matrix and its eigenvector basis are one
+column-major ``(2n, n)`` stack, so a round is one column gather that rotates
+both, then one row gather, one row scatter and one zeroing scatter on the
+matrix; the order is built only when a first sweep runs.
 
 Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
 once, cold, and passes its eigenvectors ``Q`` as the ``basis`` of every
@@ -34,7 +36,11 @@ scaled by the largest entry, and Jacobi solves input of norm below about
 from __future__ import annotations
 
 import math
+import os
+import queue
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +66,9 @@ POLAR_TOL = 1e-12
 # Jacobi rescales input of smaller Frobenius norm, about 1.2e-271, by its
 # inverse: ``EIGEN_TOL * norm / (2n)`` stays a normal float up to MAX_DIM
 _TINY_NORM = 2.0 ** -900
+# seeded_unitary and realize_matrix share their work with a second thread
+# from this dimension on: it paid from 128, cost 60% at 64 (BENCH_26.json)
+_SPLIT_DIM = 128
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -405,13 +414,62 @@ def _splitmix_uniforms(seed: int, count: int) -> np.ndarray:
     return out
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _second_thread(dim: int):
+    """Yield ``run(f, *args)``: a call at once or, from ``_SPLIT_DIM`` on
+    two CPUs, one queued for a worker thread that makes the calls in order.
+    Leaving waits for the worker and raises the first error of a call."""
+    if dim < _SPLIT_DIM or _cpus() < 2:
+        yield lambda f, *args: f(*args)
+        return
+    calls, errors = queue.SimpleQueue(), []
+
+    def work():
+        try:
+            for f, args in iter(calls.get, None):
+                f(*args)
+        except Exception as exc:  # raised again by the caller
+            errors.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        yield lambda f, *args: calls.put((f, args))
+    finally:
+        calls.put(None)
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _reflect(q, k, x, scratch):
+    """Householder step ``k``: ``q[:, k:]`` times ``I - 2 x x*``, the outer
+    product in the caller's ``scratch`` (a worker's own would stay resident)."""
+    n = len(q)
+    outer = np.outer(q[:, k:] @ x, x.conj(), scratch[:n * (n - k)].reshape(n, n - k))
+    q[:, k:] -= np.multiply(2.0, outer, out=outer)
+
+
 def seeded_unitary(dim: int, seed: int) -> np.ndarray:
     """Deterministic unitary: seed 0 is the identity, any other seed drives
     the splitmix64 stream of :func:`_splitmix_uniforms` through Box-Muller
     into a complex Gaussian matrix, then Householder QR with the
-    R-diagonal phases folded into Q.  The uniforms are the same on every
-    platform; the Householder loop runs one column at a time in a fixed
-    order."""
+    R-diagonal phases folded into Q.  Only the uniforms are the same on
+    every platform: the loop's matrix-vector products are BLAS calls, whose
+    bits depend on the BLAS build and its thread count (with OpenBLAS 0.3.31,
+    one and two BLAS threads agree up to dim 64 and differ from 96 on).
+    From ``_SPLIT_DIM`` on two CPUs a second thread applies each reflector
+    to Q (:func:`_reflect`) while this one reduces the next column; each
+    runs the one-thread statements in order on its own array, so the bits
+    do not change, and the phases are folded in once both are done.
+    """
     if dim < 1:
         raise ShapeMismatchError(f"dimension must be positive, got {dim}")
     if seed == 0:
@@ -419,23 +477,23 @@ def seeded_unitary(dim: int, seed: int) -> np.ndarray:
     u = _splitmix_uniforms(seed, 2 * dim * dim)
     u1 = u[0::2].reshape(dim, dim)
     u2 = u[1::2].reshape(dim, dim)
-    gauss = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
-    work = gauss.astype(np.complex128)
-    q = np.eye(dim, dtype=np.complex128)
-    for k in range(dim):
-        x = work[k:, k].copy()
-        nx = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if nx == 0.0:
-            continue
-        lead = x[0]
-        ph = lead / abs(lead) if abs(lead) > 0 else 1.0
-        x[0] += ph * nx
-        nv = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if nv == 0.0:
-            continue
-        x /= nv
-        work[k:, k:] -= 2.0 * np.outer(x, x.conj() @ work[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ x, x.conj())
+    work = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
+    q, scratch = np.eye(dim, dtype=np.complex128), np.empty(dim * dim, np.complex128)
+    with _second_thread(dim) as run:
+        for k in range(dim):
+            x = work[k:, k].copy()
+            nx = math.sqrt(float(np.sum(np.abs(x) ** 2)))
+            if nx == 0.0:
+                continue
+            lead = x[0]
+            ph = lead / abs(lead) if abs(lead) > 0 else 1.0
+            x[0] += ph * nx
+            nv = math.sqrt(float(np.sum(np.abs(x) ** 2)))
+            if nv == 0.0:
+                continue
+            x /= nv
+            work[k:, k:] -= 2.0 * np.outer(x, x.conj() @ work[k:, k:])
+            run(_reflect, q, k, x, scratch)
     for k in range(dim):
         d = work[k, k]
         if abs(d) > 0:
@@ -511,7 +569,9 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     identity and kernel blocks), or when there is none one pad: the
     identity at ``alpha``, but at ``alpha`` 0 the kernel of a structure
     (V = 0) and still the identity of a triple (V = 1).  A nonzero ``seed``
-    conjugates every component by the same deterministic unitary.
+    conjugates every component by the same deterministic unitary; from
+    ``_SPLIT_DIM`` on two CPUs, two of the four products run on a second
+    thread.
     """
     if dim < 1:
         raise DimTooSmallError(f"dimension must be positive, got {dim}")
@@ -526,7 +586,13 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     diagonals = np.array([s[:4] for s in slots], dtype=np.complex128).T
     u = seeded_unitary(dim, seed)
     uh = u.conj().T
-    matrix, compact, finite, isometry = [(u * d) @ uh for d in diagonals]
+    products = np.empty((4, dim, dim), dtype=np.complex128)
+    with _second_thread(dim) as run:
+        for i in (2, 3):  # operands formed here: a worker's own arrays stay resident
+            run(np.matmul, u * diagonals[i], uh, products[i])
+        for i in (0, 1):
+            np.matmul(u * diagonals[i], uh, products[i])
+    matrix, compact, finite, isometry = products
     return RealizedOperator(matrix, compact, finite, isometry, sd.alpha,
                             diagonals[0], u, tuple(s[4] for s in slots))
 

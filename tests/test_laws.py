@@ -13,7 +13,14 @@ alone, without the oracle and without ``classify``'s own rules:
 - adjoint: T* is AN exactly when T is;
 - rotation: wT is AN exactly when T is, for |w| = 1.  A cluster's members
   approach along the real axis, so the model expresses wT for w = -1 on
-  every model and for other w only on cluster-free models.
+  every model and for other w only on cluster-free models;
+- heredity: AN is defined by restriction, so every sub-model of an AN
+  model is AN.  A sub-model drops items, lowers multiplicities (``inf`` to
+  finite included), thins a cluster to a non-terminating subsequence or
+  cuts it to a terminating prefix;
+- two-item witnesses: the characterization's conditions are pairwise, so
+  the codes of a NOT_AN model are those of its sub-models of at most two
+  items.
 
 Every law holds for models with no ``NEGATIVE_VALUE``, whose declared kind
 the maps do not keep.  The cases are the seeded generators' families and
@@ -21,6 +28,11 @@ hand-built pairs whose essential values lie a few ``MERGE_TOL`` apart, where
 the direct-sum law meets the merge rule.  Values within ``MERGE_TOL`` of
 each other are one value, so "the same essential modulus" means moduli at
 most ``MERGE_TOL`` apart.
+
+Heredity and the witnesses run on the seeded models and on hand-built
+models whose essential values lie at least ``3 * MERGE_TOL`` apart: a chain
+of values each within ``MERGE_TOL`` of the next is one value, and dropping
+its middle splits it.  The chain cases wait for the same mend as scaling.
 
 The Gram law runs on the seeded models only.  Squaring turns a gap g
 between moduli near x into about 2xg, so on the hand-built sums it can
@@ -30,6 +42,7 @@ scaling law and the decomposition round trip wait on the same mend.
 """
 
 import cmath
+import itertools
 import math
 import random
 
@@ -54,7 +67,7 @@ from anop.model import (
     modulus_spectrum,
 )
 from anop.oracle import seeded_models
-from anop.sequences import MERGE_TOL, DecaySequence
+from anop.sequences import MATERIALIZE_DEPTH, MERGE_TOL, DecaySequence
 
 #: seeds drawn from each generator family
 SEEDS = 500
@@ -161,6 +174,31 @@ def shifted(model, b):
     return SpectrumModel(POSITIVE, points, clusters)
 
 
+def _reductions(item):
+    """What a sub-model may keep of one item, ``None`` for dropping it."""
+    if isinstance(item, EigenvalueEntry):
+        return [None] + [EigenvalueEntry(item.value, m) for m in (1, 2) if m < item.mult]
+    terms = item.deltas.terms(MATERIALIZE_DEPTH)
+    return [None,
+            Cluster(item.limit, item.side, DecaySequence.explicit(terms[::2], terminating=False)),
+            Cluster(item.limit, item.side, DecaySequence.explicit(terms[:3]))]
+
+
+def _model_of(kind, items):
+    return SpectrumModel(kind, tuple(i for i in items if isinstance(i, EigenvalueEntry)),
+                         tuple(i for i in items if isinstance(i, Cluster)))
+
+
+def sub_models(model, rng):
+    """Each one-item reduction of ``model``, and one reduction of every item
+    at random."""
+    items = model.points + model.clusters
+    subs = [_model_of(model.kind, items[:i] + (r,) + items[i + 1:])
+            for i, item in enumerate(items) for r in _reductions(item)]
+    mixed = [rng.choice([item] + _reductions(item)) for item in items]
+    return subs + [_model_of(model.kind, mixed)]
+
+
 @pytest.fixture(scope="module")
 def seeded():
     """Every lawful model of the generator families, ``SEEDS`` seeds each."""
@@ -175,6 +213,17 @@ def near():
     values a few ``MERGE_TOL`` apart."""
     pairs = [(a, b) for a, b in _near_pairs(1200) if _lawful(a) and _lawful(b)]
     return pairs, [direct_sum(a, b) for a, b in pairs]
+
+
+@pytest.fixture(scope="module")
+def apart():
+    """Hand-built models with essential values at least ``3 * MERGE_TOL``
+    apart: the near pairs' parts, and the sums of the pairs set that far
+    apart."""
+    pairs = _near_pairs(1200)
+    sums = [direct_sum(a, b) for i, (a, b) in enumerate(pairs)
+            if OFFSETS[i % len(OFFSETS)] >= 3.0]
+    return [m for m in [m for pair in pairs for m in pair] + sums if _lawful(m)]
 
 
 def _broken(law, models):
@@ -241,4 +290,26 @@ def test_rotation_law_on_cluster_free_models(seeded, near):
     cases = [(m, cmath.exp(1j * theta)) for m in models for theta in ANGLES]
     broken = [(m, w) for m, w in cases if _is_an(rotated(m, w)) != _is_an(m)]
     assert len(cases) >= 2000
+    assert broken == []
+
+
+def test_heredity_law(seeded, apart):
+    rng = random.Random("laws: heredity")
+    models = [m for m in seeded + apart if _is_an(m)]
+    broken = [(m, sub) for m in models for sub in sub_models(m, rng) if not _is_an(sub)]
+    assert len(models) >= 2000
+    assert broken == []
+
+
+def test_two_item_witness_law(seeded, apart):
+    violators = [m for _, _, m in seeded_models("violators", 2000, 7 + SEEDS) if _lawful(m)]
+    models = [m for m in seeded + apart + violators if not _is_an(m)]
+    broken = []
+    for m in models:
+        items = m.points + m.clusters
+        codes = {code for size in (1, 2) for sub in itertools.combinations(items, size)
+                 for code in classify(_model_of(m.kind, sub)).violations}
+        if codes != set(classify(m).violations):
+            broken.append(m)
+    assert len(models) >= 2000
     assert broken == []

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -29,6 +31,7 @@ from anop.errors import (
 )
 from anop.matrix import (
     MAX_DIM,
+    _realize_slots,
     _splitmix_uniforms,
     block_form,
     converse_witness,
@@ -464,6 +467,120 @@ def test_seeded_unitary_is_deterministic():
 def test_seeded_unitary_rejects_bad_dim():
     with pytest.raises(ShapeMismatchError):
         seeded_unitary(0, 1)
+
+
+def reference_unitary(dim, seed):
+    """``seeded_unitary`` as one thread ran it, its loop written out: the
+    bytes the seeded unitaries keep."""
+    u = _splitmix_uniforms(seed, 2 * dim * dim)
+    u1 = u[0::2].reshape(dim, dim)
+    u2 = u[1::2].reshape(dim, dim)
+    gauss = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
+    work = gauss.astype(np.complex128)
+    q = np.eye(dim, dtype=np.complex128)
+    for k in range(dim):
+        x = work[k:, k].copy()
+        nx = math.sqrt(float(np.sum(np.abs(x) ** 2)))
+        if nx == 0.0:
+            continue
+        lead = x[0]
+        ph = lead / abs(lead) if abs(lead) > 0 else 1.0
+        x[0] += ph * nx
+        nv = math.sqrt(float(np.sum(np.abs(x) ** 2)))
+        if nv == 0.0:
+            continue
+        x /= nv
+        work[k:, k:] -= 2.0 * np.outer(x, x.conj() @ work[k:, k:])
+        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ x, x.conj())
+    for k in range(dim):
+        d = work[k, k]
+        if abs(d) > 0:
+            q[:, k] *= d / abs(d)
+    return q
+
+
+SPLIT = anop.matrix._SPLIT_DIM
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The second thread runs from ``_SPLIT_DIM`` on, whatever the CPUs."""
+    monkeypatch.setattr(anop.matrix, "_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 63, -1])
+@pytest.mark.parametrize("dim", sorted({1, 2, 3, 32, 33, SPLIT - 1, SPLIT, SPLIT + 1, 128, 200}))
+def test_seeded_unitary_is_the_one_thread_loop_bit_for_bit(two_cpus, dim, seed):
+    assert seeded_unitary(dim, seed).tobytes() == reference_unitary(dim, seed).tobytes()
+
+
+def test_seeded_unitary_repeats_its_bytes_on_the_second_thread(two_cpus):
+    first = seeded_unitary(256, 5).tobytes()
+    assert all(seeded_unitary(256, 5).tobytes() == first for _ in range(2))
+
+
+def test_seeded_unitary_keeps_its_bytes_when_the_threads_switch_often(two_cpus):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [seeded_unitary(SPLIT + 1, seed).tobytes() for seed in (2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [reference_unitary(SPLIT + 1, seed).tobytes() for seed in (2, 3)]
+
+
+@pytest.mark.parametrize("dim,cpus,threads", [
+    (SPLIT - 1, 2, 0), (SPLIT, 1, 0), (SPLIT, 2, 1)])
+def test_second_thread_runs_from_the_split_dim_on_two_cpus(monkeypatch, dim, cpus, threads):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(anop.matrix, "_cpus", lambda: cpus)
+    monkeypatch.setattr(anop.matrix.threading, "Thread", Thread)
+    seeded_unitary(dim, 3)
+    assert len(started) == threads
+    assert not any(t.is_alive() for t in started)
+
+
+def test_an_error_on_the_second_thread_reaches_the_caller(two_cpus, monkeypatch):
+    reflect = anop.matrix._reflect
+
+    def failing(q, k, x, scratch):
+        if k == 40:
+            raise FloatingPointError("step 40")
+        reflect(q, k, x, scratch)
+
+    monkeypatch.setattr(anop.matrix, "_reflect", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="step 40"):
+        seeded_unitary(SPLIT, 9)
+    assert threading.active_count() == before
+
+
+def test_the_second_thread_exits_when_the_caller_fails(two_cpus):
+    before = threading.active_count()
+    done = []
+    with pytest.raises(KeyError):
+        with anop.matrix._second_thread(SPLIT) as run:
+            run(done.append, 1)
+            raise KeyError("caller")
+    assert done == [1] and threading.active_count() == before
+
+
+def test_realization_products_match_the_one_thread_products(two_cpus):
+    triple = full_triple()
+    ro = realize_matrix(triple, SPLIT + 3, seed=11)
+    uh = ro.unitary.conj().T
+    slots = _realize_slots(triple.as_structure(), SPLIT + 3, slack_identity=True)
+    diagonals = np.array([s[:4] for s in slots], dtype=np.complex128).T
+    parts = (ro.matrix, ro.compact, ro.finite, ro.isometry)
+    assert ro.unitary.tobytes() == reference_unitary(SPLIT + 3, 11).tobytes()
+    assert all(part.tobytes() == ((ro.unitary * d) @ uh).tobytes()
+               for part, d in zip(parts, diagonals))
 
 
 _MASK64 = (1 << 64) - 1
