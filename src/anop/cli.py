@@ -21,7 +21,9 @@ Each command is declared once, as its row of ``_COMMANDS`` (name, help, body
 and arguments); the parser is built from that table, once per process.  The
 bodies of the matrix commands (realize, verify, blocks, invert-matrix, polar)
 and of oracle and fuzz import ``anop.matrix`` or ``anop.oracle`` when they
-run, so the other twelve commands never load numpy.
+run, so the other twelve commands never load numpy.  Likewise every body
+that decomposes (a row names its ``anop.decompose`` function) imports that
+module when it runs, so classify, oracle and fuzz never load it.
 """
 
 from __future__ import annotations
@@ -35,19 +37,6 @@ import re
 import sys
 
 from . import serialize as sz
-from .decompose import (
-    PositiveTriple,
-    decompose_positive,
-    decomposition,
-    fredholm_report,
-    gram_spectrum,
-    imaginary_shift,
-    invert_triple,
-    recompose,
-    square_triple,
-    sqrt_triple,
-    structure_normal,
-)
 from .errors import AnopError, ParseError
 from .model import KINDS, classify, moduli_report
 
@@ -125,6 +114,7 @@ def _load(args):
 def _positive_triple(data) -> PositiveTriple:
     """Triple; a bare model is decomposed as positive (WRONG_KIND otherwise)."""
     if isinstance(data, dict) and "kind" in data:
+        from .decompose import decompose_positive
         return decompose_positive(sz.parse_model(data))
     return sz.parse_triple(data)
 
@@ -132,6 +122,7 @@ def _positive_triple(data) -> PositiveTriple:
 def _realizable(data):
     """Triple or structure; a bare model is decomposed by kind first."""
     if isinstance(data, dict) and "kind" in data:
+        from .decompose import decomposition
         return decomposition(sz.parse_model(data))
     if isinstance(data, dict) and "blocks" in data:
         return sz.parse_structure(data)
@@ -144,9 +135,13 @@ def _realizable(data):
 # command bodies
 
 
-def _chain(parse, op, payload):
-    """Command body that reports ``payload(op(parse(document)))``."""
-    return lambda args: payload(op(parse(_load(args))))
+def _chain(parse, op: str, payload):
+    """Command body that reports ``payload(op(parse(document)))``, ``op``
+    named in :mod:`anop.decompose` and imported when the command runs."""
+    def run(args):
+        from . import decompose
+        return payload(getattr(decompose, op)(parse(_load(args))))
+    return run
 
 
 def _cmd_classify(args):
@@ -155,6 +150,7 @@ def _cmd_classify(args):
 
 
 def _cmd_shift(args):
+    from .decompose import imaginary_shift
     return sz.model_payload(imaginary_shift(sz.parse_model(_load(args)), args.shift))
 
 
@@ -266,24 +262,24 @@ _CHECKED = _MATRIX + (_tol_arg("check tolerance"),)
 _COMMANDS = (
     ("classify", "decide AN membership of a spectrum model", _cmd_classify, _INPUT),
     ("decompose", "canonical positive triple of an AN positive model",
-     _chain(sz.parse_model, decompose_positive, sz.triple_payload), _INPUT),
+     _chain(sz.parse_model, "decompose_positive", sz.triple_payload), _INPUT),
     ("recompose", "rebuild the spectrum model of a positive triple",
-     _chain(sz.parse_triple, recompose, sz.model_payload), _INPUT),
+     _chain(sz.parse_triple, "recompose", sz.model_payload), _INPUT),
     ("square", "triple of the squared operator",
-     _chain(sz.parse_triple, square_triple, sz.triple_payload), _INPUT),
+     _chain(sz.parse_triple, "square_triple", sz.triple_payload), _INPUT),
     ("sqrt", "triple of the positive square root",
-     _chain(sz.parse_triple, sqrt_triple, sz.triple_payload), _INPUT),
+     _chain(sz.parse_triple, "sqrt_triple", sz.triple_payload), _INPUT),
     ("invert", "arithmetic-mean form of the inverse triple",
-     _chain(sz.parse_triple, invert_triple, sz.amform_payload), _INPUT),
+     _chain(sz.parse_triple, "invert_triple", sz.amform_payload), _INPUT),
     ("structure", "phase-carrying decomposition of a self-adjoint or normal model",
-     _chain(sz.parse_model, structure_normal, sz.structure_payload), _INPUT),
+     _chain(sz.parse_model, "structure_normal", sz.structure_payload), _INPUT),
     ("gram", "positive model of T*T",
-     _chain(sz.parse_model, gram_spectrum, sz.model_payload), _INPUT),
+     _chain(sz.parse_model, "gram_spectrum", sz.model_payload), _INPUT),
     ("shift", "normal model of T + i*lambda*I", _cmd_shift, _INPUT + (
         _arg("--shift", type=_shift, required=True, metavar="LAMBDA",
              help="imaginary shift coefficient"),)),
     ("fredholm", "Fredholm-type properties of a triple (or AN positive model)",
-     _chain(_positive_triple, fredholm_report, sz.fredholm_payload), _INPUT),
+     _chain(_positive_triple, "fredholm_report", sz.fredholm_payload), _INPUT),
     ("realize", "materialize a decomposition as a finite matrix", _cmd_realize,
      _CHECKED + (_arg("--verify", action="store_true",
                       help="attach a structural verification report"),)),

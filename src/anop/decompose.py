@@ -15,8 +15,8 @@ its kernel, and keeps clusters as the model states them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     AlphaZeroError,
     MalformedModelError,
@@ -82,7 +82,7 @@ def _checked_alpha(alpha) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PositiveTriple:
     """Spectral form of ``K - F + alpha*I``.
 
@@ -165,7 +165,7 @@ class PositiveTriple:
         return StructuredDecomposition(self.alpha, tuple(blocks), clusters, 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Block:
     """One spectral block of a structured decomposition."""
 
@@ -182,7 +182,7 @@ class Block:
         return self.phase * (alpha + self.value if self.part == "k" else alpha - self.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructuredDecomposition:
     """Spectral form of ``T = K - F + alpha*V`` with ``K = V*K1`` and
     ``F = V*F1`` where ``|T| = K1 - F1 + alpha*I``; V vanishes exactly on
@@ -209,7 +209,7 @@ class StructuredDecomposition:
         _as_count(self.kernel_multiplicity, "kernel multiplicity")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AMForm:
     """Inverse presentation ``T**-1 = beta*I - K1 + F1`` with
     ``beta = 1/alpha``; support-paired with the source triple, each entry and
@@ -222,7 +222,7 @@ class AMForm:
     identity_multiplicity: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FredholmReport:
     """Operator-theoretic properties read off a triple; a positive shift
     forces closed range and Fredholm index zero."""

@@ -41,10 +41,10 @@ import queue
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import record
 from .decompose import PositiveTriple, StructuredDecomposition, _checked_alpha
 from .errors import (
     AlphaZeroError,
@@ -171,7 +171,7 @@ def _jacobi_sweeps(av):
     return -1
 
 
-@dataclass(eq=False)
+@record()
 class EigenDecomposition:
     """Eigenvalues ascending (by real part, then imaginary) with matching
     eigenvector columns."""
@@ -181,7 +181,7 @@ class EigenDecomposition:
     sweeps: int = 0
 
 
-@dataclass(eq=False)
+@record()
 class PolarPair:
     """``T = isometry @ modulus`` with the isometry vanishing on the kernel."""
 
@@ -189,7 +189,7 @@ class PolarPair:
     modulus: np.ndarray
 
 
-@dataclass(eq=False)
+@record()
 class BlockForm:
     """Compression of an operator onto the range/kernel splitting of a
     Hermitian splitter matrix."""
@@ -201,7 +201,7 @@ class BlockForm:
     kernel_dim: int
 
 
-@dataclass(eq=False)
+@record()
 class RealizedOperator:
     """A spectral decomposition materialized at finite dimension.
 
@@ -221,7 +221,7 @@ class RealizedOperator:
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WitnessReport:
     """Converse-direction witness data for ``T = K - F + alpha*V``."""
 
@@ -232,7 +232,7 @@ class WitnessReport:
     an_predicted: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerificationReport:
     """Numerical check of a structural decomposition; every defect is scaled
     by the relevant operand norms so ``ok`` compares against one tolerance."""
@@ -250,7 +250,7 @@ class VerificationReport:
     partial_isometry_defect: float
     off_diagonal_norm: float
     witness_min_eig: float
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Violations are reported with one code per failed condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import MalformedModelError
 from .sequences import (
     DecaySequence, MATERIALIZE_DEPTH, MERGE_TOL, close_groups, merge_sequences)
@@ -79,7 +79,7 @@ def _as_mult(mult):
     return mult
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EigenvalueEntry:
     """One eigenvalue with its multiplicity (a positive integer or ``inf``)."""
 
@@ -90,7 +90,7 @@ class EigenvalueEntry:
         return self.mult == INF
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cluster:
     """An accumulation of eigenvalues ``limit + delta_n`` (above) or
     ``limit - delta_n`` (below), deltas strictly decreasing to zero."""
@@ -124,7 +124,7 @@ def _validate_cluster(cl: Cluster, kind: str) -> Cluster:
     return Cluster(limit, cl.side, cl.deltas)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectrumModel:
     """A spectrum in normal form, which it builds for itself: validated,
     terminating clusters (finitely many eigenvalues) expanded into points,
@@ -172,7 +172,7 @@ class SpectrumModel:
         object.__setattr__(self, "clusters", tuple(merged_clusters))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ANVerdict:
     """Classifier output: membership flag, violation codes, and the positive
     modulus spectrum the decision was made on."""
@@ -182,7 +182,7 @@ class ANVerdict:
     modulus_collapsed: SpectrumModel
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuliReport:
     operator_norm: float
     min_modulus: float

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import MalformedModelError
 from .model import (
     ABOVE,
@@ -45,7 +45,7 @@ from .model import (
 from .sequences import MERGE_TOL, DecaySequence, close_groups
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TruncationProfile:
     """How hard the oracle probes: materialization depth per cluster.  The
     oracle compares at ``MERGE_TOL``, the tolerance ``classify`` decides at."""
@@ -57,7 +57,7 @@ class TruncationProfile:
             raise ValueError(f"depth must be at least 2, got {self.depth}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleFailure:
     """One subspace on which the restricted norm is not attained (or a
     declared-positivity breach)."""
@@ -67,7 +67,7 @@ class OracleFailure:
     detail: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleReport:
     is_an: bool
     failures: tuple[OracleFailure, ...]

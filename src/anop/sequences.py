@@ -18,8 +18,8 @@ to zero; violations raise :class:`~anop.errors.MalformedModelError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import MalformedModelError
 
 EXPLICIT = "explicit"
@@ -84,7 +84,7 @@ def close_groups(items, tol: float = MERGE_TOL, key=None) -> list[list]:
     return list(groups.values())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecaySequence:
     """One of the three delta generators above, plus a termination flag."""
 

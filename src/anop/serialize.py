@@ -8,7 +8,7 @@ finitely-many-eigenvalues sugar from a genuine limit point written out
 term by term.  Emission is deterministic: keys sorted, compact separators,
 negative zeros scrubbed, one trailing newline.
 
-A report's result keys are its dataclass fields, emitted by :func:`encoded`,
+A report's result keys are its record fields, emitted by :func:`encoded`,
 which also writes every other result built of plain values: the verdict, the
 Fredholm report and the matrix commands' results are dicts it encodes.
 """
@@ -18,13 +18,6 @@ from __future__ import annotations
 import json
 import math
 
-from .decompose import (
-    AMForm,
-    Block,
-    FredholmReport,
-    PositiveTriple,
-    StructuredDecomposition,
-)
 from .errors import ParseError
 from .model import (
     ABOVE,
@@ -217,6 +210,7 @@ def triple_payload(triple: PositiveTriple) -> dict:
 
 
 def parse_triple(obj) -> PositiveTriple:
+    from .decompose import PositiveTriple
     alpha = _number_in(_require(obj, "alpha", "triple"), "alpha")
     k = _require(obj, "k", "triple")
     f = _entries_in(obj.get("f", []), "finite-rank entry")
@@ -248,6 +242,7 @@ def structure_payload(sd: StructuredDecomposition) -> dict:
 
 
 def parse_structure(obj) -> StructuredDecomposition:
+    from .decompose import Block, StructuredDecomposition
     alpha = _number_in(_require(obj, "alpha", "structure"), "alpha")
     raw_blocks = obj.get("blocks", [])
     raw_clusters = obj.get("clusters", [])
@@ -309,7 +304,7 @@ def parse_matrix(obj):
 
 
 def encoded(report) -> dict:
-    """JSON payload of a report dataclass or a dict: one key per field or
+    """JSON payload of a report record or a dict: one key per field or
     entry, floats scrubbed, tuples and lists as lists, nested reports and
     dicts encoded the same way and arrays as :func:`matrix_payload` pairs."""
     items = report if isinstance(report, dict) else vars(report)
@@ -355,7 +350,8 @@ def report(command: str, result, diagnostics=()) -> dict:
 
 
 def emit(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    # every payload is a tree its writers built fresh: no cycle to look for
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def load(text: str):

@@ -159,3 +159,33 @@ def test_verify_loads_numpy():
     code, loaded = json.loads(fresh_python(FOOTPRINT, "verify", _FULL, "--dim", "8"))
     assert code == 0
     assert loaded == ["numpy", "anop.matrix"]
+
+
+#: runs one command in-process and prints its exit code and which of the
+#: modules that only slow a start it loaded
+STARTUP = """
+import io, json, sys
+from anop import cli
+code = cli.execute(sys.argv[1:], out=io.StringIO())
+slow = ("dataclasses", "inspect", "anop.decompose")
+print(json.dumps([code, [m for m in slow if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv", SPECTRAL_COMMANDS, ids=[a[0] for a in SPECTRAL_COMMANDS])
+def test_spectral_commands_skip_dataclasses_and_what_they_never_call(argv):
+    # classify, oracle and fuzz decompose nothing, so they never load
+    # anop.decompose; no command loads dataclasses or inspect
+    piped = io.StringIO()
+    if "-" in argv:
+        assert cli.execute(["decompose", _FULL], out=piped) == 0
+    code, loaded = json.loads(fresh_python(STARTUP, *argv, stdin_text=piped.getvalue()))
+    assert code == 0
+    assert loaded == ([] if argv[0] in ("classify", "oracle", "fuzz") else ["anop.decompose"])
+
+
+def test_verify_loads_no_dataclasses():
+    # numpy itself imports inspect, so only dataclasses is anop's to avoid here
+    code, loaded = json.loads(fresh_python(STARTUP, "verify", _FULL, "--dim", "8"))
+    assert code == 0
+    assert "dataclasses" not in loaded
