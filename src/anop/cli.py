@@ -9,10 +9,11 @@ JSON report line::
 Reports from one command can be piped into the next; the loader unwraps the
 envelope automatically.  Exit codes: 0 success, 1 unreadable or structurally
 invalid input, 2 domain failure (diagnostics carry the code), 64 usage.
---tol bounds the checks of verify and realize --verify and is polar's rank
-cutoff; the ANOP_TOL environment variable overrides its default there
-(library calls are unaffected) and a --tol flag beats the environment.
-blocks and invert-matrix judge nothing: they split F at ``CHECK_TOL``.
+--tol bounds the checks of verify and realize --verify; the ANOP_TOL
+environment variable overrides its default there (library calls are
+unaffected) and a --tol flag beats the environment.  blocks, invert-matrix
+and polar judge nothing: blocks and invert-matrix split F at ``CHECK_TOL``,
+and polar's rank cutoff is ``POLAR_TOL``.
 A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
 (64), a bad ANOP_TOL a PARSE failure (1).  Spectral verdicts, oracle and fuzz
 included, are decided at ``MERGE_TOL``, which neither reaches.
@@ -205,7 +206,7 @@ def _cmd_polar(args):
     data = _load(args)
     raw = data.get("matrix") if isinstance(data, dict) else data
     m = sz.parse_matrix(raw)
-    pair = polar_decompose(m, _tol(args, POLAR_TOL))
+    pair = polar_decompose(m, POLAR_TOL)
     residual = _fro(m - pair.isometry @ pair.modulus) / max(_fro(m), 1.0)
     return sz.encoded({"residual": residual, **vars(pair)})
 
@@ -243,10 +244,6 @@ def _arg(*flags, **options):
     return flags, options
 
 
-def _tol_arg(help_):
-    return _arg("--tol", type=_tolerance, default=None, help=help_)
-
-
 _INPUT = (_arg("input", nargs="?", default="-",
                help="JSON document path, or - for stdin"),)
 
@@ -256,7 +253,7 @@ _MATRIX = _INPUT + (
          help="conjugating unitary seed (0 keeps the diagonal)"),
 )
 #: the matrix commands that judge checks, whose bound --tol sets
-_CHECKED = _MATRIX + (_tol_arg("check tolerance"),)
+_CHECKED = _MATRIX + (_arg("--tol", type=_tolerance, default=None, help="check tolerance"),)
 
 #: every command in ``anop --help`` order: (name, help, body, arguments)
 _COMMANDS = (
@@ -288,8 +285,7 @@ _COMMANDS = (
      _MATRIX),
     ("invert-matrix", "blockwise inverse of a realized positive triple",
      _cmd_invert_matrix, _MATRIX),
-    ("polar", "polar decomposition of a matrix document", _cmd_polar,
-     _INPUT + (_tol_arg("rank cutoff tolerance"),)),
+    ("polar", "polar decomposition of a matrix document", _cmd_polar, _INPUT),
     ("oracle", "independent attainment probe of a spectrum model", _cmd_oracle,
      _INPUT + (_arg("--depth", type=_depth, default=12,
                     help="cluster materialization depth for probing"),)),

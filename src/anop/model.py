@@ -24,7 +24,7 @@ import math
 from ._record import record
 from .errors import MalformedModelError
 from .sequences import (
-    DecaySequence, MATERIALIZE_DEPTH, MERGE_TOL, close_groups, merge_sequences)
+    DecaySequence, MATERIALIZE_DEPTH, MERGE_TOL, close_groups, merge_sequences, separated)
 
 INF = math.inf
 
@@ -76,7 +76,7 @@ def _as_mult(mult):
         raise MalformedModelError(f"multiplicity {mult!r} must be a positive integer or inf")
     if mult < 1:
         raise MalformedModelError(f"multiplicity {mult} must be >= 1")
-    return mult
+    return int(mult)  # a plain int, as a sum of multiplicities is
 
 
 @record(frozen=True)
@@ -130,7 +130,10 @@ class SpectrumModel:
     terminating clusters (finitely many eigenvalues) expanded into points,
     points and same-side clusters merged by :func:`close_groups`, and both
     sorted.  Every cluster marks a genuine limit point, and a model rebuilt
-    from its own fields is equal to it."""
+    from its own fields is equal to it.  Input in that form is kept as given:
+    :func:`~anop.sequences.separated` points or limits skip a merge that would
+    return each alone and in order, and a cluster alone in its group keeps its
+    validated object, which checking again at its own limit returns equal."""
 
     kind: str
     points: tuple[EigenvalueEntry, ...] = ()
@@ -151,22 +154,31 @@ class SpectrumModel:
             else:
                 survivors.append(cl)
 
-        # each group of one value keeps its smallest and sums multiplicities
-        merged_points = tuple(
-            EigenvalueEntry(g[0][0], sum(m for _, m in g))
-            for g in close_groups(point_items, key=lambda it: it[0]))
+        if separated(v for v, _ in point_items):
+            merged_points = tuple(EigenvalueEntry(v, m) for v, m in point_items)
+        else:  # each group of one value keeps its smallest and sums multiplicities
+            merged_points = tuple(
+                EigenvalueEntry(g[0][0], sum(m for _, m in g))
+                for g in close_groups(point_items, key=lambda it: it[0]))
 
         # merge each group's clusters one side at a time: groups come out in
-        # (real, imag) order of their least limit, and "above" sorts first
-        merged_clusters = []
-        for group in close_groups(survivors, key=lambda cl: cl.limit):
-            for side in (ABOVE, BELOW):
-                same = [cl.deltas for cl in group if cl.side == side]
-                if same:
-                    deltas = same[0] if len(same) == 1 else merge_sequences(same)
-                    # checked again where it now sits: at its group's least limit
-                    merged_clusters.append(_validate_cluster(
-                        Cluster(group[0].limit, side, deltas), self.kind))
+        # (real, imag) order of their least limit, and "above" sorts first;
+        # a cluster alone in its group stays as validated
+        if separated(cl.limit for cl in survivors):
+            merged_clusters = survivors
+        else:
+            merged_clusters = []
+            for group in close_groups(survivors, key=lambda cl: cl.limit):
+                if len(group) == 1:
+                    merged_clusters += group
+                    continue
+                for side in (ABOVE, BELOW):
+                    same = [cl.deltas for cl in group if cl.side == side]
+                    if same:
+                        deltas = same[0] if len(same) == 1 else merge_sequences(same)
+                        # checked again where it now sits: at its group's least limit
+                        merged_clusters.append(_validate_cluster(
+                            Cluster(group[0].limit, side, deltas), self.kind))
 
         object.__setattr__(self, "points", merged_points)
         object.__setattr__(self, "clusters", tuple(merged_clusters))
@@ -238,9 +250,10 @@ def mapped_cluster(cl: Cluster, fn) -> Cluster:
     is.  An image too large for a float, or with every offset below float
     resolution (an essential value lost), is MALFORMED.
     """
+    sign = 1.0 if cl.side == ABOVE else -1.0
     try:
         base = fn(cl.limit)
-        diffs = [fn(m) - base for m in cl.members(MATERIALIZE_DEPTH)]
+        diffs = [fn(cl.limit + sign * d) - base for d in cl.deltas.terms(MATERIALIZE_DEPTH)]
     except OverflowError:
         raise MalformedModelError(
             f"image of the cluster at {cl.limit} overflows a float") from None
@@ -275,14 +288,22 @@ def _modulus_model(model: SpectrumModel) -> SpectrumModel:
 def modulus_spectrum(model: SpectrumModel) -> SpectrumModel:
     """Positive model of ``|T|``: values replaced by moduli and merged.
 
-    Built once per model: the result is kept on the model as an attribute
-    outside its fields, so equality, hashing, ``repr`` and payloads do not
+    A positive model whose values and cluster limits are all ``> 0`` or
+    ``+0.0`` (a cluster at zero from above) is returned itself: each modulus
+    and side is then unchanged, and a model rebuilt from its own fields is
+    equal to it, ``repr`` for ``repr``.  Any other builds it once and keeps
+    it outside its fields, so equality, hashing, ``repr`` and payloads do not
     see it, and :func:`classify`, :func:`moduli_report`, the decompositions
     and the oracle share one build.  A refused model is refused again on
     every call.
     """
     mod = model.__dict__.get("_modulus")
     if mod is None:
+        if model.kind == POSITIVE and all(
+                math.copysign(1.0, p.value.real) > 0.0 for p in model.points) and all(
+                math.copysign(1.0, cl.limit.real) > 0.0
+                and (cl.limit.real > 0.0 or cl.side == ABOVE) for cl in model.clusters):
+            return model
         mod = _modulus_model(model)
         object.__setattr__(model, "_modulus", mod)
     return mod

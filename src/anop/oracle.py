@@ -90,11 +90,13 @@ def _subset_scan(attained, unattained):
     ``LIMIT_FROM_BELOW`` rule, with no subset enumerated.  The count is that
     of the nonempty subsets of the markers plus the largest distinct
     attained values, up to ``_SUBSET_CAP`` items in all (markers always
-    count).  Distinct values are the groups of :func:`close_groups`, one
-    sorted pass over these real values.
+    count).  Distinct markers are the groups of :func:`close_groups`;
+    distinct attained values are counted from one sort as the groups it
+    would find: one per value, less one per step of at most ``MERGE_TOL``.
     """
     markers = [g[0] for g in close_groups(unattained)]
-    points = len(close_groups(attained))
+    attained = sorted(attained)
+    points = len(attained) - sum(b - a <= MERGE_TOL for a, b in zip(attained, attained[1:]))
     g = len(markers) + min(points, max(_SUBSET_CAP - len(markers), 0))
     return (1 << g) - 1, markers
 

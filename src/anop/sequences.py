@@ -46,8 +46,11 @@ def close_groups(items, tol: float = MERGE_TOL, key=None) -> list[list]:
     apart, found in one pass after the sort.  Otherwise, after sorting by
     real part, each scan stops once the real gap exceeds ``tol``, which
     finds the same groups as comparing every pair but is still quadratic
-    on a chain of complex values within ``tol`` in real part.
+    on a chain of complex values within ``tol`` in real part.  No items, or
+    one, are returned at once: each is its own group whatever its value.
     """
+    if len(items) < 2:
+        return [[it] for it in items]
     keyed = [(complex(key(it) if key else it), it) for it in items]
     if all(v.imag == 0.0 for v, _ in keyed):
         keyed.sort(key=lambda p: p[0].real)
@@ -82,6 +85,19 @@ def close_groups(items, tol: float = MERGE_TOL, key=None) -> list[list]:
     for a, (_, it) in enumerate(keyed):
         groups.setdefault(find(a), []).append(it)
     return list(groups.values())
+
+
+def separated(values) -> bool:
+    """Whether :func:`close_groups` returns each of ``values`` alone and in
+    the given order: each real part is more than ``MERGE_TOL`` above the one
+    before it, by the test of its sorted pass, which then joins no two (the
+    scan from a complex value stops at the next)."""
+    prev = -math.inf
+    for v in values:
+        if not v.real - prev > MERGE_TOL:
+            return False
+        prev = v.real
+    return True
 
 
 @record(frozen=True)

@@ -43,7 +43,7 @@ SCHEMA_VERSION = "1"
 
 def _scrub(x: float) -> float:
     f = float(x)
-    if math.isnan(f) or math.isinf(f):
+    if not math.isfinite(f):
         raise ParseError(f"non-finite number {f} cannot be emitted")
     return 0.0 if f == 0.0 else f
 

@@ -149,14 +149,13 @@ def _subcommands():
 
 
 #: every (command, option) pair; --tol only where it bounds a judged check
-#: (realize --verify, verify) or is polar's rank cutoff
+#: (realize --verify, verify)
 OPTIONS = [
     ("shift", "--shift"),
     ("realize", "--dim"), ("realize", "--seed"), ("realize", "--tol"), ("realize", "--verify"),
     ("verify", "--dim"), ("verify", "--seed"), ("verify", "--tol"),
     ("blocks", "--dim"), ("blocks", "--seed"),
     ("invert-matrix", "--dim"), ("invert-matrix", "--seed"),
-    ("polar", "--tol"),
     ("oracle", "--depth"),
     ("fuzz", "--count"), ("fuzz", "--family"), ("fuzz", "--seed"), ("fuzz", "--depth"),
 ]
@@ -165,7 +164,7 @@ OPTIONS = [
 def test_command_options_are_pinned():
     assert [(name, flags[0]) for name, _, _, arguments in cli._COMMANDS
             for flags, _ in arguments if flags[0].startswith("-")] == OPTIONS
-    assert len(OPTIONS) == 18
+    assert len(OPTIONS) == 17
 
 
 def test_readme_names_exactly_the_parsers_commands():
@@ -274,10 +273,6 @@ def test_env_tolerance_must_be_numeric(monkeypatch):
 
 
 BAD_TOL_ARGV = [
-    ["polar", "--tol", "0"],
-    ["polar", "--tol", "1"],
-    ["polar", "--tol", "nan"],
-    ["polar", "--tol", "inf"],
     ["oracle", "positive_tail.json", "--depth", "1"],
     ["verify", "--dim", "8", "--tol", "0"],
     ["fuzz", "--count", "1", "--depth", "1"],
@@ -297,26 +292,30 @@ def test_bad_tolerance_or_depth_flag_is_a_usage_error(argv):
 
 @pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "inf"])
 def test_env_tolerance_outside_unit_interval_is_a_parse_failure(monkeypatch, value):
+    polar = run_cli(["polar"], "[[2, 0], [0, 1]]", monkeypatch)
     monkeypatch.setenv("ANOP_TOL", value)
-    for argv, stdin_text in (
-            (["verify", str(SPECS / "positive_tail.json"), "--dim", "8"], None),
-            (["polar"], "[[2, 0], [0, 1]]")):
-        code, out, _ = run_cli(argv, stdin_text, monkeypatch)
-        assert code == 1, argv
-        env = json.loads(out)
-        assert env["result"] is None
-        assert env["diagnostics"][0]["code"] == "PARSE"
+    code, out, _ = run_cli(["verify", str(SPECS / "positive_tail.json"), "--dim", "8"])
+    assert code == 1
+    env = json.loads(out)
+    assert env["result"] is None
+    assert env["diagnostics"][0]["code"] == "PARSE"
+    # polar reads no tolerance: the environment leaves its bytes unchanged
+    assert run_cli(["polar"], "[[2, 0], [0, 1]]", monkeypatch) == polar
+    assert polar[0] == 0
 
 
-@pytest.mark.parametrize("argv", [["oracle", "positive_tail.json"], ["fuzz"],
-                                  ["blocks", "positive_tail.json", "--dim", "8"],
-                                  ["invert-matrix", "positive_tail.json", "--dim", "8"]],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "positive_tail.json", "--tol", "0.1"], ["fuzz", "--tol", "0.1"],
+    ["blocks", "positive_tail.json", "--dim", "8", "--tol", "0.1"],
+    ["invert-matrix", "positive_tail.json", "--dim", "8", "--tol", "0.1"],
+    *(["polar", "--tol", tol] for tol in ("0", "1", "nan", "inf"))],
+    ids=lambda argv: " ".join(argv) if argv[0] == "polar" else argv[0])
 def test_spectral_commands_take_no_tolerance_flag(argv):
-    # the oracle decides at the classifier's MERGE_TOL, and blocks and
-    # invert-matrix split F at CHECK_TOL; no flag reaches either
+    # the oracle decides at the classifier's MERGE_TOL, blocks and
+    # invert-matrix split F at CHECK_TOL, and polar's rank cutoff is
+    # POLAR_TOL; no flag reaches any of them
     argv = [str(SPECS / a) if a.endswith(".json") else a for a in argv]
-    code, out, err = run_cli(argv + ["--tol", "0.1"])
+    code, out, err = run_cli(argv)
     assert code == 64
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("anop: ")
@@ -329,14 +328,20 @@ RANK_ONE_F = ('{"alpha":1.0,"identity_multiplicity":1,"f":[{"value":0.3,"mult":1
 
 def test_env_tolerance_leaves_oracle_and_fuzz_unchanged(monkeypatch, tmp_path):
     (tmp_path / "triple.json").write_text(RANK_ONE_F)
+    # a singular value of 1e-4 that a rank cutoff of 0.5 would drop
+    (tmp_path / "matrix.json").write_text("[[1, 0], [0, 1e-4]]")
     matrix = [str(tmp_path / "triple.json"), "--dim", "3", "--seed", "3"]
     runs = (["oracle", str(SPECS / "violator_from_below.json")],
-            ["fuzz", "--count", "240"], ["blocks", *matrix], ["invert-matrix", *matrix])
+            ["fuzz", "--count", "240"], ["blocks", *matrix], ["invert-matrix", *matrix],
+            ["polar", str(tmp_path / "matrix.json")])
     plain = [run_cli(argv) for argv in runs]
     monkeypatch.setenv("ANOP_TOL", "0.5")
     assert [run_cli(argv) for argv in runs] == plain
-    assert [code for code, _, _ in plain] == [0, 0, 0, 0]
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0, 0]
     assert json.loads(plain[2][1])["result"]["range_dim"] == 1
+    # the isometry keeps both directions: (re, im) pairs of the identity
+    assert json.loads(plain[4][1])["result"]["isometry"] == [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 def test_fuzz_reports_full_agreement():
