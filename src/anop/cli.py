@@ -9,11 +9,11 @@ JSON report line::
 Reports from one command can be piped into the next; the loader unwraps the
 envelope automatically.  Exit codes: 0 success, 1 unreadable or structurally
 invalid input, 2 domain failure (diagnostics carry the code), 64 usage.
---tol bounds the checks of verify and realize --verify; the ANOP_TOL
-environment variable overrides its default there (library calls are
-unaffected) and a --tol flag beats the environment.  blocks, invert-matrix
-and polar judge nothing: blocks and invert-matrix split F at ``CHECK_TOL``,
-and polar's rank cutoff is ``POLAR_TOL``.
+--tol bounds the checks of verify and realize --verify, and only judges:
+what is checked is fixed at ``CHECK_TOL``.  ANOP_TOL overrides its default
+there (library calls are unaffected); a --tol flag beats the environment.
+blocks, invert-matrix and polar judge nothing: blocks and invert-matrix
+split F at ``CHECK_TOL``, and polar's rank cutoff is ``POLAR_TOL``.
 A tolerance must be a finite number in (0, 1): a bad --tol is a usage error
 (64), a bad ANOP_TOL a PARSE failure (1).  Spectral verdicts, oracle and fuzz
 included, are decided at ``MERGE_TOL``, which neither reaches.
@@ -184,9 +184,9 @@ def _cmd_verify(args):
 
 
 def _cmd_blocks(args):
-    from .matrix import CHECK_TOL, _splitter, block_form
+    from .matrix import _splitter, block_form
     ro = _realized(args)
-    _, splitter = _splitter(ro.finite, CHECK_TOL)
+    _, splitter = _splitter(ro.finite)
     bf = block_form(ro.matrix, splitter)
     return sz.encoded({"splitter": "f" if splitter is ro.finite else "gram", **vars(bf)})
 
@@ -202,11 +202,11 @@ def _cmd_invert_matrix(args):
 
 
 def _cmd_polar(args):
-    from .matrix import POLAR_TOL, _fro, polar_decompose
+    from .matrix import _fro, polar_decompose
     data = _load(args)
     raw = data.get("matrix") if isinstance(data, dict) else data
     m = sz.parse_matrix(raw)
-    pair = polar_decompose(m, POLAR_TOL)
+    pair = polar_decompose(m)
     residual = _fro(m - pair.isometry @ pair.modulus) / max(_fro(m), 1.0)
     return sz.encoded({"residual": residual, **vars(pair)})
 

@@ -20,17 +20,17 @@ matrix; the order is built only when a first sweep runs.
 
 Verification shares one basis.  ``verify_structure`` eigensolves ``T*T``
 once, cold, and passes its eigenvectors ``Q`` as the ``basis`` of every
-later :func:`hermitian_eigen` call (K in positive mode, the splitter F or
-``F*F``, the two witness parts), which then runs Jacobi on ``Q* X Q``; the
-``F*F`` bound is read off the splitter's eigenvalues.  The components of a
-canonical realization are diagonal in that basis, so those solves mostly
-take no sweep.  The stopping test is the same as for a cold solve, so a
-basis that fits ``X`` poorly costs sweeps, not accuracy.  The solver takes
-input whose Frobenius norm is a finite float, below about 1.3e154; a ``T*T``
-or ``F*F`` beyond that is refused as it is formed, naming T's or F's norm.
-There is no lower bound: a norm whose sum of squares underflows is taken
-scaled by the largest entry, and Jacobi solves input of norm below about
-1.2e-271 scaled up by a power of two.
+later :func:`hermitian_eigen` call (in positive mode, K's Hermitian part and
+F's behind a splitter ``F*F``; the splitter; the two witness parts), which
+then runs Jacobi on ``Q* X Q``; the ``F*F`` bound is read off the splitter's
+eigenvalues.  The components of a canonical realization are diagonal in that
+basis, so those solves mostly take no sweep.  The stopping test is the same
+as for a cold solve, so a basis that fits ``X`` poorly costs sweeps, not
+accuracy.  The solver takes input whose Frobenius norm is a finite float,
+below about 1.3e154; a ``T*T`` or ``F*F`` beyond that is refused as it is
+formed, naming T's or F's norm.  There is no lower bound: a norm whose sum
+of squares underflows is taken scaled by the largest entry, and Jacobi
+solves input of norm below about 1.2e-271 scaled up by a power of two.
 """
 
 from __future__ import annotations
@@ -294,11 +294,11 @@ def _gram(m, name: str) -> np.ndarray:
     return gram
 
 
-def _splitter(f, tol: float):
+def _splitter(f):
     """F's Hermitian defect ``||F - F*|| / max(||F||, 1)`` and the matrix
-    that splits by F's range: F within ``tol`` of Hermitian, else ``F*F``."""
+    that splits by F's range: F within CHECK_TOL of Hermitian, else ``F*F``."""
     defect = _fro(f - f.conj().T) / max(_fro(f), 1.0)
-    return defect, (f if defect <= tol else _gram(f, "F"))
+    return defect, (f if defect <= CHECK_TOL else _gram(f, "F"))
 
 
 def _operands(**named) -> list[np.ndarray]:
@@ -363,7 +363,7 @@ def hermitian_eigen(a, basis=None) -> EigenDecomposition:
     return EigenDecomposition(values[order], vectors, sweeps)
 
 
-def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
+def polar_decompose(a) -> PolarPair:
     """Polar factorization ``T = V|T|`` with V a partial isometry that is
     zero on the kernel of T (so V*V is the range projection of ``|T|``).
 
@@ -373,7 +373,7 @@ def polar_decompose(a, tol: float = POLAR_TOL) -> PolarPair:
     eig = hermitian_eigen(_gram(t, "T"))
     svals = np.sqrt(np.clip(eig.values, 0.0, None))
     modulus = (eig.vectors * svals) @ eig.vectors.conj().T
-    order, r = _range_first(svals, tol)
+    order, r = _range_first(svals, POLAR_TOL)
     cols = eig.vectors[:, order[:r]]
     iso = ((t @ cols) / svals[order[:r]]) @ cols.conj().T
     return PolarPair(iso, modulus)
@@ -609,7 +609,7 @@ def block_form(a, splitter) -> BlockForm:
     blocks; it vanishes exactly when the splitting reduces ``a``.
     """
     t, s = _operands(a=a, splitter=splitter)
-    return _block_form(t, hermitian_eigen(s), CHECK_TOL)
+    return _block_form(t, hermitian_eigen(s))
 
 
 def _range_first(values, tol: float):
@@ -621,9 +621,9 @@ def _range_first(values, tol: float):
     return order, int(np.count_nonzero(in_range))
 
 
-def _block_form(t, eig: EigenDecomposition, tol: float) -> BlockForm:
+def _block_form(t, eig: EigenDecomposition) -> BlockForm:
     """:func:`block_form` of ``t`` given the splitter's eigendecomposition."""
-    order, r = _range_first(eig.values, tol)
+    order, r = _range_first(eig.values, CHECK_TOL)
     basis = eig.vectors[:, order]
     b = basis.conj().T @ t @ basis
     off = max(_fro(b[:r, r:]), _fro(b[r:, :r]))
@@ -717,11 +717,13 @@ def verify_structure(t, k, f, v, alpha: float,
     check ``KF = 0`` in all adjoint placements, that the range/kernel
     splitting of F reduces T, and the converse witness positivity.
 
-    Only ``T*T`` is eigensolved cold.  K (positive mode only), the splitter
-    of :func:`_splitter` (the rule ``anop blocks`` splits by too: F if
-    Hermitian, else ``F*F``; its eigenvalues give every bound on F) and the
-    two witness parts start in the eigenvectors of ``T*T``, in which a
-    canonical decomposition is already diagonal: five solves, four in polar.
+    ``tol`` judges the checks only.  Positive mode
+    (``||V - I|| <= CHECK_TOL * sqrt(n)``), the :func:`_splitter` (the rule
+    of ``anop blocks``) and its range cutoff are fixed at ``CHECK_TOL``.
+    Positive mode bounds K by its Hermitian part and F by the splitter's
+    eigenvalues if it is F, else by F's Hermitian part (a sixth solve).
+    Only ``T*T`` is eigensolved cold; the rest start in its eigenvectors,
+    where a canonical decomposition is diagonal: five solves, four in polar.
     """
     tm, km, fm, vm = _operands(t=t, k=k, f=f, v=v)
     alpha = _checked_alpha(alpha)
@@ -732,7 +734,7 @@ def verify_structure(t, k, f, v, alpha: float,
     k_scale = max(_fro(km), 1.0)
     f_scale = max(_fro(fm), 1.0)
 
-    positive_mode = _fro(vm - np.eye(n)) <= tol * math.sqrt(n)
+    positive_mode = _fro(vm - np.eye(n)) <= CHECK_TOL * math.sqrt(n)
 
     recomb = _fro(tm - (km - fm + alpha * vm)) / scale
     kf = max(_fro(km @ fm), _fro(km.conj().T @ fm),
@@ -743,25 +745,27 @@ def verify_structure(t, k, f, v, alpha: float,
     iso = _fro(vv @ vv - vv) / max(_fro(vv), 1.0)
 
     # T*T is the one cold eigensolve; later solves start in its eigenvectors
-    # q.  The splitter's eigenvalues give every bound on F (a Hermitian F's
-    # F*F = F**2 tops out at lo**2 or hi**2), and it splits the block form
+    # q.  The splitter splits the block form and bounds F (a Hermitian F's
+    # F*F = F**2 tops out at lo**2 or hi**2) unless positive mode splits by F*F
     q = hermitian_eigen(gram).vectors
-    k_psd = f_psd = f_bound = 0.0
-    if positive_mode and k_herm <= tol:
+    k_psd = f_psd = 0.0
+    if positive_mode:
         k_psd = max(0.0, -float(hermitian_eigen((km + km.conj().T) / 2, q).values[0])) / k_scale
-    f_herm, splitter = _splitter(fm, tol)
+    f_herm, splitter = _splitter(fm)
     f_hermitian = splitter is fm
     split_eig = hermitian_eigen(splitter, q)
-    lo, hi = float(split_eig.values[0]), float(split_eig.values[-1])
-    if not positive_mode:
-        ff_top = max(lo * lo, hi * hi) if f_hermitian else hi
-        f_bound = max(0.0, ff_top - alpha * alpha) / max(alpha * alpha, 1.0)
-    elif f_hermitian:
+    bound_eig = (hermitian_eigen((fm + fm.conj().T) / 2, q)
+                 if positive_mode and not f_hermitian else split_eig)
+    lo, hi = float(bound_eig.values[0]), float(bound_eig.values[-1])
+    if positive_mode:
         f_psd = max(0.0, -lo) / f_scale
         f_bound = max(0.0, hi - alpha) / max(alpha, 1.0)
+    else:
+        ff_top = max(lo * lo, hi * hi) if f_hermitian else hi
+        f_bound = max(0.0, ff_top - alpha * alpha) / max(alpha * alpha, 1.0)
     v_exact = np.eye(n, dtype=np.complex128) if positive_mode else vm
     witness = converse_witness(km, fm, v_exact, alpha, tm, tol, basis=q)
-    off = _block_form(tm, split_eig, tol).off_diagonal_norm / scale
+    off = _block_form(tm, split_eig).off_diagonal_norm / scale
 
     checks = [
         ("recombination", recomb <= tol),

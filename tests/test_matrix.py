@@ -54,9 +54,9 @@ from anop.model import (
 )
 from anop.oracle import seeded_models
 from anop.sequences import DecaySequence
-from anop.serialize import parse_structure
+from anop.serialize import load, parse_model, parse_structure
 
-from conftest import positive_points
+from conftest import SPECS, positive_points
 
 
 GEO = DecaySequence.geometric(0.125, 0.5)
@@ -329,7 +329,7 @@ def test_eigen_matches_the_reference_kernel_on_what_verify_sends(dim):
         t = ro.matrix
         q = assert_matches_the_reference_kernel(t.conj().T @ t).vectors
         assert_matches_the_reference_kernel((ro.compact + ro.compact.conj().T) / 2, q)
-        _, splitter = anop.matrix._splitter(ro.finite, anop.matrix.CHECK_TOL)
+        _, splitter = anop.matrix._splitter(ro.finite)
         assert_matches_the_reference_kernel(splitter, q)
 
 
@@ -954,13 +954,72 @@ def test_verify_warm_started_psd_defect_matches_lapack(monkeypatch):
     assert abs(rep.k_psd_defect - want) <= 1e-12 * want
 
 
-def test_verify_rejects_non_hermitian_f_under_loose_tol():
+def _measured(report):
+    """Every report field but the judgement (``ok`` and ``failures``)."""
+    fields = dict(vars(report))
+    del fields["ok"], fields["failures"]
+    return fields
+
+
+def test_verify_measures_a_non_hermitian_f_alike_under_any_tol():
+    # F skewed by 1e-8 splits by F*F at CHECK_TOL whatever tol is: a loose
+    # tol passes the f_hermitian check on the same measured defects
     ro = realize_matrix(full_triple(), dim=8, seed=1)
     f = ro.finite.copy()
     f[0, 1] += 1e-8
-    with pytest.raises(NotHermitianError):
-        verify_structure(ro.matrix, ro.compact, f, ro.isometry, ro.alpha,
-                         tol=1e-6)
+    strict, loose = (verify_structure(ro.matrix, ro.compact, f, ro.isometry,
+                                      ro.alpha, tol=tol) for tol in (1e-10, 1e-6))
+    assert _measured(strict) == _measured(loose)
+    assert strict.mode == "positive" and "f_hermitian" in strict.failures
+    assert loose.ok
+
+
+def _perturbed(ro, how):
+    """The realization's ``(T, K, F, V)`` with one small defect: F or K
+    skewed by 1e-8 at one entry, V off by 1e-7 on one diagonal entry, or F
+    plus 1e-7 on one diagonal entry."""
+    k, f, v = ro.compact.copy(), ro.finite.copy(), ro.isometry.copy()
+    m, at, step = {"none": (f, (0, 0), 0.0), "f_skew": (f, (0, 1), 1e-8),
+                   "k_skew": (k, (0, 1), 1e-8), "v_off": (v, (0, 0), 1e-7),
+                   "f_small": (f, (0, 0), 1e-7)}[how]
+    m[at] += step
+    return ro.matrix, k, f, v
+
+
+@pytest.mark.parametrize("spec", [p.name for p in sorted(SPECS.glob("*.json"))
+                                  if not p.name.startswith("violator")])
+def test_verify_measures_the_same_under_every_tol(spec):
+    # tol judges and decides nothing: the mode, every defect and the block
+    # form's coupling are the same at every tol, and no tol makes it refuse
+    sd = decomposition(parse_model(load((SPECS / spec).read_text())))
+    for dim in (8, 16):
+        for seed in (0, 3):
+            ro = realize_matrix(sd, dim, seed)
+            for how in ("none", "f_skew", "k_skew", "v_off", "f_small"):
+                operands = _perturbed(ro, how)
+                reports = [_measured(verify_structure(*operands, ro.alpha, tol=tol))
+                           for tol in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3)]
+                assert all(r == reports[0] for r in reports[1:]), (dim, seed, how)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("k_top, f_entry, skewed, failure, defect, want", [
+    (1.0, -0.5, "f", "f_positive", "f_psd_defect", 0.5),
+    (1.0, 3.0, "f", "f_below_alpha", "f_bound_defect", 0.5),
+    (-1.0, 0.5, "k", "k_positive", "k_psd_defect", 1.0),
+], ids=["f_positive", "f_below_alpha", "k_positive"])
+def test_verify_positive_mode_measures_every_bound(tol, k_top, f_entry, skewed,
+                                                   failure, defect, want):
+    # a part skewed beyond CHECK_TOL still has its positivity bounds
+    # measured, on its Hermitian part, at a strict and at a loose tol
+    k = np.diag([k_top, 0.0, 0.0, 0.0]).astype(complex)
+    f = np.diag([0.0, 0.0, f_entry, 0.0]).astype(complex)
+    (f if skewed == "f" else k)[2, 3] = 1e-8
+    v = np.eye(4, dtype=complex)
+    rep = verify_structure(k - f + 2.0 * v, k, f, v, 2.0, tol=tol)
+    assert rep.mode == "positive"
+    assert failure in rep.failures
+    assert abs(getattr(rep, defect) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

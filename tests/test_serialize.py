@@ -359,7 +359,7 @@ def test_blocks_result_bytes_are_pinned(splitter, monkeypatch):
 def test_polar_result_bytes_are_pinned(monkeypatch):
     pair = PolarPair(np.array([[1.0, -0.0], [0.0, -1.0]]),
                      np.array([[2.0, 0.5j], [-0.0, 3.0]]))
-    monkeypatch.setattr("anop.matrix.polar_decompose", lambda m, tol: pair)
+    monkeypatch.setattr("anop.matrix.polar_decompose", lambda m: pair)
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"matrix":[[2,0],[0,-3]]}'))
     out = io.StringIO()
     assert execute(["polar", "-"], out=out) == 0
