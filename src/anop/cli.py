@@ -266,7 +266,7 @@ _COMMANDS = (
      _chain(sz.parse_triple, "square_triple", sz.triple_payload), _INPUT),
     ("sqrt", "triple of the positive square root",
      _chain(sz.parse_triple, "sqrt_triple", sz.triple_payload), _INPUT),
-    ("invert", "arithmetic-mean form of the inverse triple",
+    ("invert", "inverse triple in absolutely minimum-attaining form beta*I - K + F",
      _chain(sz.parse_triple, "invert_triple", sz.amform_payload), _INPUT),
     ("structure", "phase-carrying decomposition of a self-adjoint or normal model",
      _chain(sz.parse_model, "structure_normal", sz.structure_payload), _INPUT),

@@ -31,16 +31,18 @@ below about 1.3e154; a ``T*T`` or ``F*F`` beyond that is refused as it is
 formed, naming T's or F's norm.  There is no lower bound: a norm whose sum
 of squares underflows is taken scaled by the largest entry, and Jacobi
 solves input of norm below about 1.2e-271 scaled up by a power of two.
+
+A nonzero seed conjugates a realization by :func:`seeded_unitary`, a seeded
+random butterfly of 2x2 rotations built by IEEE arithmetic alone, so its
+bytes are the same on every platform; the conjugation only has to make the
+input dense.  The products ``U D U*`` are BLAS ``matmul`` calls, so the
+conjugated matrices' bits are not platform-exact.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
 import sys
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -66,9 +68,6 @@ POLAR_TOL = 1e-12
 # Jacobi rescales input of smaller Frobenius norm, about 1.2e-271, by its
 # inverse: ``EIGEN_TOL * norm / (2n)`` stays a normal float up to MAX_DIM
 _TINY_NORM = 2.0 ** -900
-# seeded_unitary and realize_matrix share their work with a second thread
-# from this dimension on: it paid from 128, cost 60% at 64 (BENCH_26.json)
-_SPLIT_DIM = 128
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -414,91 +413,46 @@ def _splitmix_uniforms(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _second_thread(dim: int):
-    """Yield ``run(f, *args)``: a call at once or, from ``_SPLIT_DIM`` on
-    two CPUs, one queued for a worker thread that makes the calls in order.
-    Leaving waits for the worker and raises the first error of a call."""
-    if dim < _SPLIT_DIM or _cpus() < 2:
-        yield lambda f, *args: f(*args)
-        return
-    calls, errors = queue.SimpleQueue(), []
-
-    def work():
-        try:
-            for f, args in iter(calls.get, None):
-                f(*args)
-        except Exception as exc:  # raised again by the caller
-            errors.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        yield lambda f, *args: calls.put((f, args))
-    finally:
-        calls.put(None)
-        worker.join()
-    if errors:
-        raise errors[0]
-
-
-def _reflect(q, k, x, scratch):
-    """Householder step ``k``: ``q[:, k:]`` times ``I - 2 x x*``, the outer
-    product in the caller's ``scratch`` (a worker's own would stay resident)."""
-    n = len(q)
-    outer = np.outer(q[:, k:] @ x, x.conj(), scratch[:n * (n - k)].reshape(n, n - k))
-    q[:, k:] -= np.multiply(2.0, outer, out=outer)
-
-
 def seeded_unitary(dim: int, seed: int) -> np.ndarray:
-    """Deterministic unitary: seed 0 is the identity, any other seed drives
-    the splitmix64 stream of :func:`_splitmix_uniforms` through Box-Muller
-    into a complex Gaussian matrix, then Householder QR with the
-    R-diagonal phases folded into Q.  Only the uniforms are the same on
-    every platform: the loop's matrix-vector products are BLAS calls, whose
-    bits depend on the BLAS build and its thread count (with OpenBLAS 0.3.31,
-    one and two BLAS threads agree up to dim 64 and differ from 96 on).
-    From ``_SPLIT_DIM`` on two CPUs a second thread applies each reflector
-    to Q (:func:`_reflect`) while this one reduces the next column; each
-    runs the one-thread statements in order on its own array, so the bits
-    do not change, and the phases are folded in once both are done.
+    """Deterministic unitary: seed 0 is the identity, any other seed a
+    random butterfly (Parker, 1995) of ``ceil(log2 dim) + 6`` rounds of 2x2
+    rotations applied to the identity's rows.
+
+    Each round draws ``dim + 4 * (dim // 2)`` uniforms from
+    :func:`_splitmix_uniforms`.  The stable ``argsort`` of the first ``dim``
+    pairs row ``order[k]`` with row ``order[h + k]``, ``h = dim // 2`` (an
+    odd ``dim`` leaves its last row out); the rest, less 1/2, are the four
+    rows ``ar, ai, br, bi`` that, divided by the square root of their sum of
+    squares, make pair ``k``'s SU(2) block ``[[a, -conj(b)], [b, conj(a)]]``.
+    The rounds act on separate float64 real and imaginary parts, one ufunc
+    at a time, by +, -, *, / and sqrt alone: no BLAS and no libm call, so
+    the bytes are the same on every platform and at every BLAS thread count.
+    Nothing needs Haar measure, only a dense U.  With six rounds past
+    ``ceil(log2 dim)``, no entry of seeds 1-20 at dims 64-512 is below
+    6.1e-4/sqrt(dim), six times the 1e-4/sqrt(dim) that tests require; five
+    rounds reach 1.7e-4/sqrt(dim), and four leave exact zeros from dim 128 on.
     """
     if dim < 1:
         raise ShapeMismatchError(f"dimension must be positive, got {dim}")
     if seed == 0:
         return np.eye(dim, dtype=np.complex128)
-    u = _splitmix_uniforms(seed, 2 * dim * dim)
-    u1 = u[0::2].reshape(dim, dim)
-    u2 = u[1::2].reshape(dim, dim)
-    work = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
-    q, scratch = np.eye(dim, dtype=np.complex128), np.empty(dim * dim, np.complex128)
-    with _second_thread(dim) as run:
-        for k in range(dim):
-            x = work[k:, k].copy()
-            nx = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-            if nx == 0.0:
-                continue
-            lead = x[0]
-            ph = lead / abs(lead) if abs(lead) > 0 else 1.0
-            x[0] += ph * nx
-            nv = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-            if nv == 0.0:
-                continue
-            x /= nv
-            work[k:, k:] -= 2.0 * np.outer(x, x.conj() @ work[k:, k:])
-            run(_reflect, q, k, x, scratch)
-    for k in range(dim):
-        d = work[k, k]
-        if abs(d) > 0:
-            q[:, k] *= d / abs(d)
-    return q
+    h = dim // 2
+    rounds = (dim - 1).bit_length() + 6
+    draws = _splitmix_uniforms(seed, rounds * (dim + 4 * h)).reshape(rounds, -1)
+    re, im = np.eye(dim), np.zeros((dim, dim))
+    for row in draws:
+        order = np.argsort(row[:dim], kind="stable")
+        p, q = order[:h], order[h:2 * h]
+        x = (row[dim:] - 0.5).reshape(4, h, 1)
+        ar, ai, br, bi = x / np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+        pr, pi, qr, qi = re[p], im[p], re[q], im[q]
+        re[p] = (ar * pr - ai * pi) - (br * qr + bi * qi)
+        im[p] = (ar * pi + ai * pr) - (br * qi - bi * qr)
+        re[q] = (br * pr - bi * pi) + (ar * qr + ai * qi)
+        im[q] = (br * pi + bi * pr) + (ar * qi - ai * qr)
+    u = np.empty((dim, dim), dtype=np.complex128)
+    u.real, u.imag = re, im
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +523,10 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     identity and kernel blocks), or when there is none one pad: the
     identity at ``alpha``, but at ``alpha`` 0 the kernel of a structure
     (V = 0) and still the identity of a triple (V = 1).  A nonzero ``seed``
-    conjugates every component by the same deterministic unitary; from
-    ``_SPLIT_DIM`` on two CPUs, two of the four products run on a second
-    thread.
+    conjugates every component by the same :func:`seeded_unitary`, which is
+    platform-exact; the four products are BLAS ``matmul`` calls, so a
+    conjugated component's bits may depend on the BLAS build and its thread
+    count.
     """
     if dim < 1:
         raise DimTooSmallError(f"dimension must be positive, got {dim}")
@@ -586,13 +541,7 @@ def realize_matrix(obj, dim: int, seed: int = 0) -> RealizedOperator:
     diagonals = np.array([s[:4] for s in slots], dtype=np.complex128).T
     u = seeded_unitary(dim, seed)
     uh = u.conj().T
-    products = np.empty((4, dim, dim), dtype=np.complex128)
-    with _second_thread(dim) as run:
-        for i in (2, 3):  # operands formed here: a worker's own arrays stay resident
-            run(np.matmul, u * diagonals[i], uh, products[i])
-        for i in (0, 1):
-            np.matmul(u * diagonals[i], uh, products[i])
-    matrix, compact, finite, isometry = products
+    matrix, compact, finite, isometry = (np.matmul(u * d, uh) for d in diagonals)
     return RealizedOperator(matrix, compact, finite, isometry, sd.alpha,
                             diagonals[0], u, tuple(s[4] for s in slots))
 

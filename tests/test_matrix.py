@@ -1,8 +1,9 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -56,7 +57,7 @@ from anop.oracle import seeded_models
 from anop.sequences import DecaySequence
 from anop.serialize import load, parse_model, parse_structure
 
-from conftest import SPECS, positive_points
+from conftest import ROOT, SPECS, positive_points
 
 
 GEO = DecaySequence.geometric(0.125, 0.5)
@@ -469,120 +470,6 @@ def test_seeded_unitary_rejects_bad_dim():
         seeded_unitary(0, 1)
 
 
-def reference_unitary(dim, seed):
-    """``seeded_unitary`` as one thread ran it, its loop written out: the
-    bytes the seeded unitaries keep."""
-    u = _splitmix_uniforms(seed, 2 * dim * dim)
-    u1 = u[0::2].reshape(dim, dim)
-    u2 = u[1::2].reshape(dim, dim)
-    gauss = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
-    work = gauss.astype(np.complex128)
-    q = np.eye(dim, dtype=np.complex128)
-    for k in range(dim):
-        x = work[k:, k].copy()
-        nx = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if nx == 0.0:
-            continue
-        lead = x[0]
-        ph = lead / abs(lead) if abs(lead) > 0 else 1.0
-        x[0] += ph * nx
-        nv = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if nv == 0.0:
-            continue
-        x /= nv
-        work[k:, k:] -= 2.0 * np.outer(x, x.conj() @ work[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ x, x.conj())
-    for k in range(dim):
-        d = work[k, k]
-        if abs(d) > 0:
-            q[:, k] *= d / abs(d)
-    return q
-
-
-SPLIT = anop.matrix._SPLIT_DIM
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The second thread runs from ``_SPLIT_DIM`` on, whatever the CPUs."""
-    monkeypatch.setattr(anop.matrix, "_cpus", lambda: 2)
-
-
-@pytest.mark.parametrize("seed", [1, 7, 2 ** 63, -1])
-@pytest.mark.parametrize("dim", sorted({1, 2, 3, 32, 33, SPLIT - 1, SPLIT, SPLIT + 1, 128, 200}))
-def test_seeded_unitary_is_the_one_thread_loop_bit_for_bit(two_cpus, dim, seed):
-    assert seeded_unitary(dim, seed).tobytes() == reference_unitary(dim, seed).tobytes()
-
-
-def test_seeded_unitary_repeats_its_bytes_on_the_second_thread(two_cpus):
-    first = seeded_unitary(256, 5).tobytes()
-    assert all(seeded_unitary(256, 5).tobytes() == first for _ in range(2))
-
-
-def test_seeded_unitary_keeps_its_bytes_when_the_threads_switch_often(two_cpus):
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = [seeded_unitary(SPLIT + 1, seed).tobytes() for seed in (2, 3)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == [reference_unitary(SPLIT + 1, seed).tobytes() for seed in (2, 3)]
-
-
-@pytest.mark.parametrize("dim,cpus,threads", [
-    (SPLIT - 1, 2, 0), (SPLIT, 1, 0), (SPLIT, 2, 1)])
-def test_second_thread_runs_from_the_split_dim_on_two_cpus(monkeypatch, dim, cpus, threads):
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(anop.matrix, "_cpus", lambda: cpus)
-    monkeypatch.setattr(anop.matrix.threading, "Thread", Thread)
-    seeded_unitary(dim, 3)
-    assert len(started) == threads
-    assert not any(t.is_alive() for t in started)
-
-
-def test_an_error_on_the_second_thread_reaches_the_caller(two_cpus, monkeypatch):
-    reflect = anop.matrix._reflect
-
-    def failing(q, k, x, scratch):
-        if k == 40:
-            raise FloatingPointError("step 40")
-        reflect(q, k, x, scratch)
-
-    monkeypatch.setattr(anop.matrix, "_reflect", failing)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="step 40"):
-        seeded_unitary(SPLIT, 9)
-    assert threading.active_count() == before
-
-
-def test_the_second_thread_exits_when_the_caller_fails(two_cpus):
-    before = threading.active_count()
-    done = []
-    with pytest.raises(KeyError):
-        with anop.matrix._second_thread(SPLIT) as run:
-            run(done.append, 1)
-            raise KeyError("caller")
-    assert done == [1] and threading.active_count() == before
-
-
-def test_realization_products_match_the_one_thread_products(two_cpus):
-    triple = full_triple()
-    ro = realize_matrix(triple, SPLIT + 3, seed=11)
-    uh = ro.unitary.conj().T
-    slots = _realize_slots(triple.as_structure(), SPLIT + 3, slack_identity=True)
-    diagonals = np.array([s[:4] for s in slots], dtype=np.complex128).T
-    parts = (ro.matrix, ro.compact, ro.finite, ro.isometry)
-    assert ro.unitary.tobytes() == reference_unitary(SPLIT + 3, 11).tobytes()
-    assert all(part.tobytes() == ((ro.unitary * d) @ uh).tobytes()
-               for part, d in zip(parts, diagonals))
-
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -645,6 +532,76 @@ def test_splitmix_stream_digest_is_pinned():
     u = _splitmix_uniforms(1, 4096).astype("<f8")
     assert hashlib.sha256(u.tobytes()).hexdigest() == (
         "0d834f9747deb83eceba43e44bdcb6d2f9d4b33f713d999852220337b0e80647")
+
+
+def reference_butterfly(dim, seed):
+    """``seeded_unitary`` as a scalar loop over Python floats: the rounds'
+    operations one by one, in the same order, so the same bits."""
+    h = dim // 2
+    rounds = (dim - 1).bit_length() + 6
+    per = dim + 4 * h
+    draws = _splitmix_reference(seed, rounds * per).tolist()
+    re = [[float(i == j) for j in range(dim)] for i in range(dim)]
+    im = [[0.0] * dim for _ in range(dim)]
+    for r in range(rounds):
+        row = draws[r * per:(r + 1) * per]
+        order = sorted(range(dim), key=row.__getitem__)  # a stable sort
+        for k in range(h):
+            x0, x1, x2, x3 = (row[dim + c * h + k] - 0.5 for c in range(4))
+            norm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+            ar, ai, br, bi = x0 / norm, x1 / norm, x2 / norm, x3 / norm
+            p, q = order[k], order[h + k]
+            rows = list(zip(re[p], im[p], re[q], im[q]))
+            re[p] = [(ar * pr - ai * pi) - (br * qr + bi * qi) for pr, pi, qr, qi in rows]
+            im[p] = [(ar * pi + ai * pr) - (br * qi - bi * qr) for pr, pi, qr, qi in rows]
+            re[q] = [(br * pr - bi * pi) + (ar * qr + ai * qi) for pr, pi, qr, qi in rows]
+            im[q] = [(br * pi + bi * pr) + (ar * qi - ai * qr) for pr, pi, qr, qi in rows]
+    return np.array([[complex(x, y) for x, y in zip(*rows)] for rows in zip(re, im)])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 63, -1])
+@pytest.mark.parametrize("dim", [1, 2, 3, 32, 33, 127, 128, 129, 200])
+def test_seeded_unitary_is_the_scalar_butterfly_bit_for_bit(dim, seed):
+    assert seeded_unitary(dim, seed).tobytes() == reference_butterfly(dim, seed).tobytes()
+
+
+#: SHA-256 of ``seeded_unitary(n, 3)`` as little-endian complex128: IEEE
+#: arithmetic alone, so the same bytes on every platform
+UNITARY_DIGESTS = {
+    8: "87c927cbf23517458f4e0b5e93ec6f68da06a01f1a33187e08f1d09139bfd187",
+    96: "996826c207194bdca144020f2a6834f16fa5e554b480afbb608093504d0b550e",
+    128: "2e9d069d85b84883c5a9031d6f984a27606d62266893fcf3f32b717a56def123",
+    512: "75c26228539bd41035f7ca61533ebe8ae888ea03ae042b5c697633ce5f8457ec",
+    1024: "3c183a7348146d329becee7a6845dfb1422678470c96c4da1eba7c6f00df19d1",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(UNITARY_DIGESTS))
+def test_seeded_unitary_digest_is_pinned(dim):
+    u = seeded_unitary(dim, 3)
+    assert hashlib.sha256(u.astype("<c16").tobytes()).hexdigest() == UNITARY_DIGESTS[dim]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-13 * dim
+
+
+def test_seeded_unitary_bytes_do_not_depend_on_the_blas_thread_count():
+    code = ("import hashlib; from anop.matrix import seeded_unitary; print(hashlib.sha256("
+            "seeded_unitary(512, 3).astype('<c16').tobytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests == [UNITARY_DIGESTS[512]] * 2
+
+
+@pytest.mark.parametrize("dim", [64, 97, 128, 256, 512])
+def test_seeded_unitary_is_dense(dim):
+    # a Haar unitary's least entry is about 1/n of 1/sqrt(n); too few
+    # rounds leave entries that no rotation reached at exactly zero
+    least = min(np.abs(seeded_unitary(dim, seed)).min() for seed in range(1, 21))
+    assert least >= 1e-4 / math.sqrt(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +744,18 @@ def test_realize_seed_conjugates_all_components():
     assert np.allclose(ro1.matrix, u @ ro0.matrix @ u.conj().T, atol=1e-12)
     assert np.allclose(ro1.compact, u @ ro0.compact @ u.conj().T, atol=1e-12)
     assert np.array_equal(ro1.diagonal, ro0.diagonal)
+
+
+def test_realization_products_are_the_matmul_products():
+    triple = full_triple()
+    ro = realize_matrix(triple, 131, seed=11)
+    uh = ro.unitary.conj().T
+    slots = _realize_slots(triple.as_structure(), 131, slack_identity=True)
+    diagonals = np.array([s[:4] for s in slots], dtype=np.complex128).T
+    parts = (ro.matrix, ro.compact, ro.finite, ro.isometry)
+    assert ro.unitary.tobytes() == seeded_unitary(131, 11).tobytes()
+    assert all(part.tobytes() == ((ro.unitary * d) @ uh).tobytes()
+               for part, d in zip(parts, diagonals))
 
 
 def test_realize_normal_structure_diagonal_phases():
