@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -594,6 +595,18 @@ def test_seeded_unitary_bytes_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests == [UNITARY_DIGESTS[512]] * 2
+
+
+def test_seeded_unitary_repeats_its_bytes_on_the_second_thread():
+    # no state is kept between calls: a call on another Python thread gives
+    # the main thread's bytes
+    first = seeded_unitary(256, 5).tobytes()
+    got = []
+    worker = threading.Thread(target=lambda: got.append(seeded_unitary(256, 5).tobytes()))
+    worker.start()
+    worker.join()
+    assert got == [first]
+    assert seeded_unitary(256, 5).tobytes() == first
 
 
 @pytest.mark.parametrize("dim", [64, 97, 128, 256, 512])
